@@ -467,60 +467,19 @@ let e9 () =
 
 (* --- E10 (claim C3): TCB line counts ---------------------------------- *)
 
-let count_loc dir =
-  let rec walk dir acc =
-    Array.fold_left
-      (fun acc entry ->
-        let path = Filename.concat dir entry in
-        if Sys.is_directory path then walk path acc
-        else if Filename.check_suffix path ".ml" || Filename.check_suffix path ".mli" then begin
-          let ic = open_in path in
-          let lines = ref 0 in
-          (try
-             while true do
-               let line = input_line ic in
-               if String.trim line <> "" then incr lines
-             done
-           with End_of_file -> ());
-          close_in ic;
-          acc + !lines
-        end
-        else acc)
-      acc (Sys.readdir dir)
-  in
-  if Sys.file_exists dir && Sys.is_directory dir then walk dir 0 else 0
-
 let e10 () =
   header "E10 (claim C3): trusted computing base size (< 10K LOC monitor)";
-  let trusted =
-    [ ("lib/cap (capability model)", "lib/cap");
-      ("lib/monitor (monitor core)", "lib/monitor");
-      ("lib/backend_x86", "lib/backend_x86");
-      ("lib/backend_riscv", "lib/backend_riscv");
-      ("lib/crypto (attestation crypto)", "lib/crypto") ]
-  in
-  let untrusted =
-    [ ("lib/kernel (mini-OS, untrusted)", "lib/kernel");
-      ("lib/libtyche (in-domain library)", "lib/libtyche");
-      ("lib/hw (simulated hardware)", "lib/hw");
-      ("lib/verifier + lib/tpm + rest", "lib/verifier") ]
-  in
-  row3 "component" "non-blank LOC" "in TCB?";
-  let total_trusted =
-    List.fold_left
-      (fun acc (name, dir) ->
-        let n = count_loc dir in
-        row3 name (string_of_int n) "yes";
-        acc + n)
-      0 trusted
-  in
+  let t = Tcb.count ~root:"." in
+  row3 "library (link closure)" "non-blank LOC" "in TCB?";
+  List.iter (fun e -> row3 e.Tcb.lib (string_of_int e.Tcb.lines) "yes") t.Tcb.trusted;
   List.iter
-    (fun (name, dir) -> row3 name (string_of_int (count_loc dir)) "no")
-    untrusted;
-  row3 "TOTAL trusted core" (string_of_int total_trusted)
-    (if total_trusted < 10_000 then "< 10K: claim holds" else ">= 10K: claim FAILS");
+    (fun e -> row3 e.Tcb.lib (string_of_int e.Tcb.lines) "no (simulated hardware)")
+    t.Tcb.simulated;
+  row3 "TOTAL trusted core" (string_of_int t.Tcb.total)
+    (if t.Tcb.total < Tcb.limit then "< 10K: claim holds" else ">= 10K: claim FAILS");
   Printf.printf
-    "  (the paper counts its Rust monitor; we count the equivalent OCaml modules)\n"
+    "  (closure of %s from the dune files; the paper counts its Rust monitor)\n"
+    (String.concat " + " Tcb.roots)
 
 (* --- E11: driver request path ------------------------------------------ *)
 
@@ -1728,10 +1687,10 @@ let boot_sharded_bench ~shards ?(cores = 1) ?(mem_size = 8 * 1024 * 1024)
     in
     (machine, Backend_x86.create machine (), tpm, srng, report.Rot.Boot.monitor_range)
   in
-  Tyche.Sharded.boot ~shards ~rng ~mk ()
+  Sharded.boot ~shards ~rng ~mk ()
 
 let sharded_mem_cap t ~shard =
-  let m = Tyche.Sharded.shard_monitor t shard in
+  let m = Sharded.shard_monitor t shard in
   let tree = Tyche.Monitor.tree m in
   let size cap =
     match Cap.Captree.resource tree cap with
@@ -1741,7 +1700,7 @@ let sharded_mem_cap t ~shard =
   match Tyche.Monitor.caps_of m os with
   | [] -> failwith "shard OS holds no caps"
   | caps ->
-    Tyche.Sharded.gcap ~shard
+    Sharded.gcap ~shard
       (List.fold_left (fun best c -> if size c > size best then c else best) (List.hd caps) caps)
 
 let e19 ?(smoke = false) () =
@@ -1752,18 +1711,18 @@ let e19 ?(smoke = false) () =
   let measure_once w =
     let t = boot_sharded_bench ~shards:w () in
     let d =
-      ok (Tyche.Sharded.create_domain t ~caller:os ~name:"e19" ~kind:Tyche.Domain.Sandbox)
+      ok (Sharded.create_domain t ~caller:os ~name:"e19" ~kind:Tyche.Domain.Sandbox)
     in
-    let stride = Tyche.Sharded.addr_stride in
+    let stride = Sharded.addr_stride in
     let worker shard () =
       let cap = sharded_mem_cap t ~shard in
       for i = 0 to iters - 1 do
         let sub = range ~base:((shard * stride) + ((i mod 1024) * page)) ~len:page in
         match
-          Tyche.Sharded.share t ~caller:os ~cap ~to_:d ~rights:Cap.Rights.rw
+          Sharded.share t ~caller:os ~cap ~to_:d ~rights:Cap.Rights.rw
             ~cleanup:Cap.Revocation.Keep ~subrange:sub ()
         with
-        | Ok c -> ignore (Tyche.Sharded.revoke t ~caller:os ~cap:c)
+        | Ok c -> ignore (Sharded.revoke t ~caller:os ~cap:c)
         | Error e -> failwith ("e19 worker: " ^ Tyche.Monitor.error_to_string e)
       done
     in
@@ -1773,10 +1732,10 @@ let e19 ?(smoke = false) () =
       let sub = range ~base:((s * stride) + (2000 * page)) ~len:page in
       let c =
         ok
-          (Tyche.Sharded.share t ~caller:os ~cap ~to_:d ~rights:Cap.Rights.rw
+          (Sharded.share t ~caller:os ~cap ~to_:d ~rights:Cap.Rights.rw
              ~cleanup:Cap.Revocation.Keep ~subrange:sub ())
       in
-      ignore (ok (Tyche.Sharded.revoke t ~caller:os ~cap:c))
+      ignore (ok (Sharded.revoke t ~caller:os ~cap:c))
     done;
     let was_tracing = Obs.enabled () in
     Obs.set_enabled false;

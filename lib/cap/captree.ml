@@ -32,6 +32,27 @@ type origin = Orig_root | Orig_shared | Orig_granted | Orig_split
 
 type state = Active | Inactive_granted | Inactive_split
 
+let origin_to_int = function
+  | Orig_root -> 0
+  | Orig_shared -> 1
+  | Orig_granted -> 2
+  | Orig_split -> 3
+
+let origin_of_int = function
+  | 0 -> Some Orig_root
+  | 1 -> Some Orig_shared
+  | 2 -> Some Orig_granted
+  | 3 -> Some Orig_split
+  | _ -> None
+
+let state_to_int = function Active -> 0 | Inactive_granted -> 1 | Inactive_split -> 2
+
+let state_of_int = function
+  | 0 -> Some Active
+  | 1 -> Some Inactive_granted
+  | 2 -> Some Inactive_split
+  | _ -> None
+
 module IntSet = Set.Make (Int)
 
 type node = {

@@ -256,6 +256,14 @@ type state =
   | Inactive_granted (** Transferred away; reactivates if the child is revoked. *)
   | Inactive_split (** Replaced by its split children. *)
 
+val origin_to_int : origin -> int
+val origin_of_int : int -> origin option
+val state_to_int : state -> int
+
+val state_of_int : int -> state option
+(** Snapshot codes for {!origin} and {!state}; the decoders return
+    [None] on an unknown code. *)
+
 val origin : t -> cap_id -> origin option
 (** How the capability came to exist — lets policy distinguish access a
     domain was *granted* exclusively from access it merely received via

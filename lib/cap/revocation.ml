@@ -20,6 +20,15 @@ let to_string = function
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
+let to_int = function Keep -> 0 | Zero -> 1 | Flush_cache -> 2 | Zero_and_flush -> 3
+
+let of_int = function
+  | 0 -> Some Keep
+  | 1 -> Some Zero
+  | 2 -> Some Flush_cache
+  | 3 -> Some Zero_and_flush
+  | _ -> None
+
 let apply t ~mem ~cache ~counter range =
   if zeroes_memory t then begin
     let lines = (Hw.Addr.Range.len range + Hw.Cache.line_size - 1) / Hw.Cache.line_size in

@@ -23,6 +23,12 @@ val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+val to_int : t -> int
+(** The policy's wire code, shared by every codec. *)
+
+val of_int : int -> t option
+(** Inverse of {!to_int}; [None] on an unknown code. *)
+
 val apply :
   t ->
   mem:Hw.Physmem.t ->

@@ -13,6 +13,21 @@ let attenuates ~parent ~child =
 
 let equal a b = a = b
 
+let to_bits r =
+  (if r.perm.Hw.Perm.read then 1 else 0)
+  lor (if r.perm.Hw.Perm.write then 2 else 0)
+  lor (if r.perm.Hw.Perm.exec then 4 else 0)
+  lor (if r.can_share then 8 else 0)
+  lor if r.can_grant then 16 else 0
+
+let of_bits b =
+  if b land lnot 31 <> 0 then None
+  else
+    Some
+      { perm = { Hw.Perm.read = b land 1 <> 0; write = b land 2 <> 0; exec = b land 4 <> 0 };
+        can_share = b land 8 <> 0;
+        can_grant = b land 16 <> 0 }
+
 let pp fmt t =
   Format.fprintf fmt "%a%s%s" Hw.Perm.pp t.perm
     (if t.can_share then "+s" else "")

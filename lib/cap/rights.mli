@@ -26,4 +26,12 @@ val attenuates : parent:t -> child:t -> bool
 (** True when [child] is no stronger than [parent] in every dimension. *)
 
 val equal : t -> t -> bool
+
+val to_bits : t -> int
+(** 5-bit wire encoding (read | write≪1 | exec≪2 | share≪3 | grant≪4),
+    shared by every codec. *)
+
+val of_bits : int -> t option
+(** Inverse of {!to_bits}; [None] if any bit above the low five is set. *)
+
 val pp : Format.formatter -> t -> unit

@@ -95,21 +95,6 @@ module Wire = struct
            protocol (live migration) inherits the delivery contract
            instead of rebuilding it. *)
 
-  (* Rights travel as a byte so the delegation survives codec evolution
-     on either side of the link. *)
-  let rights_bits (r : Cap.Rights.t) =
-    (if r.perm.Hw.Perm.read then 1 else 0)
-    lor (if r.perm.Hw.Perm.write then 2 else 0)
-    lor (if r.perm.Hw.Perm.exec then 4 else 0)
-    lor (if r.can_share then 8 else 0)
-    lor (if r.can_grant then 16 else 0)
-
-  let rights_of_bits b =
-    { Cap.Rights.perm =
-        { Hw.Perm.read = b land 1 <> 0; write = b land 2 <> 0; exec = b land 4 <> 0 };
-      can_share = b land 8 <> 0;
-      can_grant = b land 16 <> 0 }
-
   let encode_body ~origin ~seq msg =
     let buf = Buffer.create 64 in
     Persist.Wire.str buf origin;
@@ -144,7 +129,11 @@ module Wire = struct
           let del_id = Persist.Wire.get_i64 r in
           let base = Persist.Wire.get_i64 r in
           let len = Persist.Wire.get_i64 r in
+          (* Rights travel as {!Cap.Rights.to_bits}; unknown bits are
+             corrupt, not ignored. *)
           let rights = Persist.Wire.get_u8 r in
+          if Cap.Rights.of_bits rights = None then
+            raise (Persist.Wire.Corrupt "bad rights bits");
           Delegate { del_id; base; len; rights }
         | 2 -> Revoke { del_id = Persist.Wire.get_i64 r }
         | 3 -> Ack { upto = Persist.Wire.get_i64 r }
@@ -590,7 +579,7 @@ let delegate t ~caller ~cap ~peer ?subrange ~rights () =
       | Ok proxy_cap ->
         let range = Option.value subrange ~default:full_range in
         let base = Hw.Addr.Range.base range and len = Hw.Addr.Range.len range in
-        let rights_b = Wire.rights_bits rights in
+        let rights_b = Cap.Rights.to_bits rights in
         let del_id = t.next_del in
         t.next_del <- del_id + 1;
         (* Freeze before anything can observe the share: from here on,

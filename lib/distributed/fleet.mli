@@ -239,12 +239,12 @@ val verify_member : attestation -> name:string -> member_root:Crypto.Sha256.dige
 module Wire : sig
   type msg =
     | Delegate of { del_id : int; base : int; len : int; rights : int }
+        (** [rights] as {!Cap.Rights.to_bits}; decoding rejects unknown
+            bits. *)
     | Revoke of { del_id : int }
     | Ack of { upto : int }
     | Data of { chan : string; payload : string }
 
-  val rights_bits : Cap.Rights.t -> int
-  val rights_of_bits : int -> Cap.Rights.t
   val encode_body : origin:string -> seq:int -> msg -> string
   val decode_body : string -> (string * int * msg, string) result
   val seal : key:string -> string -> string

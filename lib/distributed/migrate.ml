@@ -95,6 +95,18 @@ module Wire = struct
     | Commit of { mig : string }
     | Abort of { mig : string; reason : string }
 
+  (* Rights and cleanup codes are validated here, so an unknown code is
+     a malformed manifest rather than a silently different capability. *)
+  let rights_byte r =
+    let b = Persist.Wire.get_u8 r in
+    if Cap.Rights.of_bits b = None then raise (Persist.Wire.Corrupt "bad rights bits");
+    b
+
+  let cleanup_byte r =
+    let b = Persist.Wire.get_u8 r in
+    if Cap.Revocation.of_int b = None then raise (Persist.Wire.Corrupt "bad cleanup code");
+    b
+
   let digest32 r =
     let s = Persist.Wire.get_str r in
     if String.length s <> 32 then raise (Persist.Wire.Corrupt "digest is not 32 bytes");
@@ -146,8 +158,8 @@ module Wire = struct
       Persist.Wire.get_list r (fun b ->
           let base = Persist.Wire.get_i64 b in
           let len = Persist.Wire.get_i64 b in
-          let rights = Persist.Wire.get_u8 b in
-          let cleanup = Persist.Wire.get_u8 b in
+          let rights = rights_byte b in
+          let cleanup = cleanup_byte b in
           (base, len, rights, cleanup))
     in
     let mf_measured =
@@ -168,7 +180,7 @@ module Wire = struct
           let peer = Persist.Wire.get_str b in
           let base = Persist.Wire.get_i64 b in
           let len = Persist.Wire.get_i64 b in
-          let rights = Persist.Wire.get_u8 b in
+          let rights = rights_byte b in
           (peer, base, len, rights))
     in
     let mf_att = Persist.Wire.get_str r in
@@ -599,35 +611,6 @@ let image_digest ~state ~pages =
 
 (* --- domain enumeration ------------------------------------------------ *)
 
-let kind_to_int = function
-  | Tyche.Domain.Os -> 0
-  | Tyche.Domain.Sandbox -> 1
-  | Tyche.Domain.Enclave -> 2
-  | Tyche.Domain.Confidential_vm -> 3
-  | Tyche.Domain.Io_domain -> 4
-  | Tyche.Domain.Remote -> 5
-
-let kind_of_int = function
-  | 0 -> Some Tyche.Domain.Os
-  | 1 -> Some Tyche.Domain.Sandbox
-  | 2 -> Some Tyche.Domain.Enclave
-  | 3 -> Some Tyche.Domain.Confidential_vm
-  | 4 -> Some Tyche.Domain.Io_domain
-  | 5 -> Some Tyche.Domain.Remote
-  | _ -> None
-
-let cleanup_to_int = function
-  | Cap.Revocation.Keep -> 0
-  | Cap.Revocation.Zero -> 1
-  | Cap.Revocation.Flush_cache -> 2
-  | Cap.Revocation.Zero_and_flush -> 3
-
-let cleanup_of_int = function
-  | 0 -> Cap.Revocation.Keep
-  | 1 -> Cap.Revocation.Zero
-  | 2 -> Cap.Revocation.Flush_cache
-  | _ -> Cap.Revocation.Zero_and_flush
-
 (* The domain's active memory caps as portable tuples. *)
 let mem_caps m domain =
   let tree = Tyche.Monitor.tree m in
@@ -637,12 +620,12 @@ let mem_caps m domain =
       | Some (Cap.Resource.Memory r) ->
         let rights =
           match Cap.Captree.rights tree cap with
-          | Some rt -> Fleet.Wire.rights_bits rt
+          | Some rt -> Cap.Rights.to_bits rt
           | None -> 0
         in
         let cleanup =
           match Cap.Captree.cleanup tree cap with
-          | Some c -> cleanup_to_int c
+          | Some c -> Cap.Revocation.to_int c
           | None -> 0
         in
         Some (Hw.Addr.Range.base r, Hw.Addr.Range.len r, rights, cleanup)
@@ -689,7 +672,7 @@ let local_digests m domain =
       in
       let state =
         state_digest ~name:(Tyche.Domain.name dom)
-          ~kind:(kind_to_int (Tyche.Domain.kind dom))
+          ~kind:(Tyche.Domain.kind_to_int (Tyche.Domain.kind dom))
           ~entry:(Option.value (Tyche.Domain.entry_point dom) ~default:(-1))
           ~flush:(Tyche.Domain.flush_on_transition dom)
           ~measurement:(Crypto.Sha256.to_raw meas) ~caps ~measured
@@ -764,14 +747,14 @@ let build_manifest t src =
           let entry = Option.value (Tyche.Domain.entry_point dom) ~default:(-1) in
           let state =
             state_digest ~name:(Tyche.Domain.name dom)
-              ~kind:(kind_to_int (Tyche.Domain.kind dom))
+              ~kind:(Tyche.Domain.kind_to_int (Tyche.Domain.kind dom))
               ~entry ~flush:(Tyche.Domain.flush_on_transition dom)
               ~measurement:(Crypto.Sha256.to_raw meas) ~caps ~measured
           in
           let image = image_digest ~state ~pages in
           let mf =
             { Wire.mf_name = Tyche.Domain.name dom;
-              mf_kind = kind_to_int (Tyche.Domain.kind dom);
+              mf_kind = Tyche.Domain.kind_to_int (Tyche.Domain.kind dom);
               mf_entry = entry;
               mf_flush = Tyche.Domain.flush_on_transition dom;
               mf_measurement = Crypto.Sha256.to_raw meas;
@@ -1123,7 +1106,7 @@ let adopt t tg (mf : Wire.manifest) =
     match verify_manifest t ~origin:tg.tm_origin mf with
     | Error e -> Error e
     | Ok _att ->
-      (match kind_of_int mf.mf_kind with
+      (match Tyche.Domain.kind_of_int mf.mf_kind with
       | None | Some Tyche.Domain.Os | Some Tyche.Domain.Remote ->
         Error "manifest names an inadmissible domain kind"
       | Some kind ->
@@ -1149,16 +1132,16 @@ let adopt t tg (mf : Wire.manifest) =
                     | _ -> false)
                   (Cap.Captree.caps_of_domain tree os_)
               in
-              (match donor with
-              | None -> Error "no OS capability covers an adopted range"
-              | Some cap ->
+              (match donor, Cap.Rights.of_bits rights, Cap.Revocation.of_int cleanup with
+              | None, _, _ -> Error "no OS capability covers an adopted range"
+              | _, None, _ | _, _, None ->
+                Error "manifest carries an unknown rights or cleanup code"
+              | Some cap, Some rights, Some cleanup ->
                 (match Tyche.Monitor.carve m ~caller:os_ ~cap ~subrange:range with
                 | Error e -> fail_mon e
                 | Ok piece ->
                   (match
-                     Tyche.Monitor.grant m ~caller:os_ ~cap:piece ~to_:domain
-                       ~rights:(Fleet.Wire.rights_of_bits rights)
-                       ~cleanup:(cleanup_of_int cleanup)
+                     Tyche.Monitor.grant m ~caller:os_ ~cap:piece ~to_:domain ~rights ~cleanup
                    with
                   | Error e -> fail_mon e
                   | Ok _ -> caps_loop rest)))
@@ -1291,13 +1274,10 @@ let try_redelegate t tg domain =
                 | _ -> false)
               (Cap.Captree.caps_of_domain tree domain)
           in
-          match cap with
-          | None -> false (* range no longer held; drop the entry *)
-          | Some cap ->
-            (match
-               Fleet.delegate t.fleet ~caller:domain ~cap ~peer ~subrange:range
-                 ~rights:(Fleet.Wire.rights_of_bits rights) ()
-             with
+          match cap, Cap.Rights.of_bits rights with
+          | None, _ | _, None -> false (* range no longer held, or bad rights: drop *)
+          | Some cap, Some rights ->
+            (match Fleet.delegate t.fleet ~caller:domain ~cap ~peer ~subrange:range ~rights () with
             | Ok _ -> false
             | Error _ -> true (* peer not connected yet; retry on tick *)))
       tg.tm_redelegate

@@ -65,7 +65,8 @@ module Wire : sig
     mf_flush : bool;
     mf_measurement : string; (** Seal-time measurement, raw 32 bytes. *)
     mf_caps : (int * int * int * int) list;
-        (** (base, len, rights bits, cleanup byte) per memory cap. *)
+        (** (base, len, rights bits, cleanup byte) per memory cap;
+            decoding rejects unknown codes. *)
     mf_measured : (int * int) list; (** (base, len), declaration order. *)
     mf_pages : (int * int * string) list; (** (base, len, content hash). *)
     mf_dels : (string * int * int * int) list;

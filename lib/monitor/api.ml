@@ -1,63 +1,6 @@
-type call =
-  | Create_domain of { name : string; kind : Domain.kind }
-  | Set_entry_point of { domain : Domain.id; entry : Hw.Addr.t }
-  | Set_flush_policy of { domain : Domain.id; flush : bool }
-  | Mark_measured of { domain : Domain.id; range : Hw.Addr.Range.t }
-  | Seal of { domain : Domain.id }
-  | Destroy of { domain : Domain.id }
-  | Share of {
-      cap : Cap.Captree.cap_id;
-      to_ : Domain.id;
-      rights : Cap.Rights.t;
-      cleanup : Cap.Revocation.t;
-      subrange : Hw.Addr.Range.t option;
-    }
-  | Grant of {
-      cap : Cap.Captree.cap_id;
-      to_ : Domain.id;
-      rights : Cap.Rights.t;
-      cleanup : Cap.Revocation.t;
-    }
-  | Split of { cap : Cap.Captree.cap_id; at : Hw.Addr.t }
-  | Carve of { cap : Cap.Captree.cap_id; subrange : Hw.Addr.Range.t }
-  | Revoke of { cap : Cap.Captree.cap_id }
-  | Enumerate
-  | Attest of { domain : Domain.id; nonce : string }
-  | Call of { target : Domain.id }
-  | Return
-
-type result_value =
-  | R_unit
-  | R_domain of Domain.id
-  | R_cap of Cap.Captree.cap_id
-  | R_cap_pair of Cap.Captree.cap_id * Cap.Captree.cap_id
-  | R_caps of Cap.Captree.cap_id list
-  | R_attestation of Attestation.t
-  | R_path of Backend_intf.transition_path
+include Op
 
 type response = (result_value, Monitor.error) result
-
-let pp_call fmt = function
-  | Create_domain { name; kind } ->
-    Format.fprintf fmt "create_domain(%s,%a)" name Domain.pp_kind kind
-  | Set_entry_point { domain; entry } ->
-    Format.fprintf fmt "set_entry_point(#%d,0x%x)" domain entry
-  | Set_flush_policy { domain; flush } ->
-    Format.fprintf fmt "set_flush_policy(#%d,%b)" domain flush
-  | Mark_measured { domain; range } ->
-    Format.fprintf fmt "mark_measured(#%d,%a)" domain Hw.Addr.Range.pp range
-  | Seal { domain } -> Format.fprintf fmt "seal(#%d)" domain
-  | Destroy { domain } -> Format.fprintf fmt "destroy(#%d)" domain
-  | Share { cap; to_; _ } -> Format.fprintf fmt "share(cap%d -> #%d)" cap to_
-  | Grant { cap; to_; _ } -> Format.fprintf fmt "grant(cap%d -> #%d)" cap to_
-  | Split { cap; at } -> Format.fprintf fmt "split(cap%d @ 0x%x)" cap at
-  | Carve { cap; subrange } ->
-    Format.fprintf fmt "carve(cap%d, %a)" cap Hw.Addr.Range.pp subrange
-  | Revoke { cap } -> Format.fprintf fmt "revoke(cap%d)" cap
-  | Enumerate -> Format.pp_print_string fmt "enumerate"
-  | Attest { domain; _ } -> Format.fprintf fmt "attest(#%d)" domain
-  | Call { target } -> Format.fprintf fmt "call(#%d)" target
-  | Return -> Format.pp_print_string fmt "return"
 
 let pp_response fmt = function
   | Ok R_unit -> Format.pp_print_string fmt "ok"
@@ -69,57 +12,10 @@ let pp_response fmt = function
   | Ok (R_path p) -> Format.fprintf fmt "ok %a" Backend_intf.pp_transition_path p
   | Error e -> Format.fprintf fmt "error: %a" Monitor.pp_error e
 
-let op_name = function
-  | Create_domain _ -> "create_domain"
-  | Set_entry_point _ -> "set_entry_point"
-  | Set_flush_policy _ -> "set_flush_policy"
-  | Mark_measured _ -> "mark_measured"
-  | Seal _ -> "seal"
-  | Destroy _ -> "destroy"
-  | Share _ -> "share"
-  | Grant _ -> "grant"
-  | Split _ -> "split"
-  | Carve _ -> "carve"
-  | Revoke _ -> "revoke"
-  | Enumerate -> "enumerate"
-  | Attest _ -> "attest"
-  | Call _ -> "call"
-  | Return -> "return"
-
 (* One hoisted span handle per call variant: dispatching pays no string
    concatenation and no registry lookup, just the span itself. *)
-let h_create_domain = Obs.Profile.handle "api.create_domain"
-let h_set_entry_point = Obs.Profile.handle "api.set_entry_point"
-let h_set_flush_policy = Obs.Profile.handle "api.set_flush_policy"
-let h_mark_measured = Obs.Profile.handle "api.mark_measured"
-let h_seal = Obs.Profile.handle "api.seal"
-let h_destroy = Obs.Profile.handle "api.destroy"
-let h_share = Obs.Profile.handle "api.share"
-let h_grant = Obs.Profile.handle "api.grant"
-let h_split = Obs.Profile.handle "api.split"
-let h_carve = Obs.Profile.handle "api.carve"
-let h_revoke = Obs.Profile.handle "api.revoke"
-let h_enumerate = Obs.Profile.handle "api.enumerate"
-let h_attest = Obs.Profile.handle "api.attest"
-let h_call = Obs.Profile.handle "api.call"
-let h_return = Obs.Profile.handle "api.return"
-
-let op_handle = function
-  | Create_domain _ -> h_create_domain
-  | Set_entry_point _ -> h_set_entry_point
-  | Set_flush_policy _ -> h_set_flush_policy
-  | Mark_measured _ -> h_mark_measured
-  | Seal _ -> h_seal
-  | Destroy _ -> h_destroy
-  | Share _ -> h_share
-  | Grant _ -> h_grant
-  | Split _ -> h_split
-  | Carve _ -> h_carve
-  | Revoke _ -> h_revoke
-  | Enumerate -> h_enumerate
-  | Attest _ -> h_attest
-  | Call _ -> h_call
-  | Return -> h_return
+let handles = Array.map (fun name -> Obs.Profile.handle ("api." ^ name)) names
+let op_handle call = handles.(opcode call - 1)
 
 (* The single choke point every monitor call funnels through, so one
    span here guarantees a balanced begin/end pair per operation: the
@@ -147,264 +43,6 @@ let dispatch m ~caller ~core call : response =
     ~backend:(backend_id (Monitor.backend m).Backend_intf.backend_name)
     (op_handle call)
   @@ fun () ->
-  try
-    match call with
-    | Create_domain { name; kind } ->
-      Result.map (fun d -> R_domain d) (Monitor.create_domain m ~caller ~name ~kind)
-    | Set_entry_point { domain; entry } ->
-      Result.map (fun () -> R_unit) (Monitor.set_entry_point m ~caller ~domain entry)
-    | Set_flush_policy { domain; flush } ->
-      Result.map (fun () -> R_unit) (Monitor.set_flush_policy m ~caller ~domain flush)
-    | Mark_measured { domain; range } ->
-      Result.map (fun () -> R_unit) (Monitor.mark_measured m ~caller ~domain range)
-    | Seal { domain } -> Result.map (fun () -> R_unit) (Monitor.seal m ~caller ~domain)
-    | Destroy { domain } ->
-      Result.map (fun () -> R_unit) (Monitor.destroy_domain m ~caller ~domain)
-    | Share { cap; to_; rights; cleanup; subrange } ->
-      Result.map (fun c -> R_cap c)
-        (Monitor.share m ~caller ~cap ~to_ ~rights ~cleanup ?subrange ())
-    | Grant { cap; to_; rights; cleanup } ->
-      Result.map (fun c -> R_cap c) (Monitor.grant m ~caller ~cap ~to_ ~rights ~cleanup)
-    | Split { cap; at } ->
-      Result.map (fun (a, b) -> R_cap_pair (a, b)) (Monitor.split m ~caller ~cap ~at)
-    | Carve { cap; subrange } ->
-      Result.map (fun c -> R_cap c) (Monitor.carve m ~caller ~cap ~subrange)
-    | Revoke { cap } -> Result.map (fun () -> R_unit) (Monitor.revoke m ~caller ~cap)
-    | Enumerate -> Ok (R_caps (Monitor.caps_of m caller))
-    | Attest { domain; nonce } ->
-      Result.map (fun a -> R_attestation a) (Monitor.attest m ~caller ~domain ~nonce)
-    | Call { target } ->
-      if Monitor.current_domain m ~core <> caller then
-        Error (Monitor.Bad_transition "caller is not current on this core")
-      else Result.map (fun p -> R_path p) (Monitor.call m ~core ~target)
-    | Return ->
-      if Monitor.current_domain m ~core <> caller then
-        Error (Monitor.Bad_transition "caller is not current on this core")
-      else Result.map (fun p -> R_path p) (Monitor.ret m ~core)
-  with
+  try Monitor.exec m ~caller ~core call with
   | Invalid_argument msg -> Error (Monitor.Denied ("invalid argument: " ^ msg))
   | Failure msg -> Error (Monitor.Denied ("failure: " ^ msg))
-
-(* Wire format: opcode byte, then fixed-width big-endian operands;
-   strings are u16-length-prefixed; ranges are two u64s; rights are one
-   flag byte; cleanup policies one byte. *)
-
-let put_u64 buf v = Buffer.add_int64_be buf (Int64.of_int v)
-
-let put_string buf s =
-  Buffer.add_uint16_be buf (String.length s);
-  Buffer.add_string buf s
-
-let put_range buf r =
-  put_u64 buf (Hw.Addr.Range.base r);
-  put_u64 buf (Hw.Addr.Range.len r)
-
-let kind_code = function
-  | Domain.Os -> 0
-  | Domain.Sandbox -> 1
-  | Domain.Enclave -> 2
-  | Domain.Confidential_vm -> 3
-  | Domain.Io_domain -> 4
-  | Domain.Remote -> 5
-
-let kind_of_code = function
-  | 0 -> Some Domain.Os
-  | 1 -> Some Domain.Sandbox
-  | 2 -> Some Domain.Enclave
-  | 3 -> Some Domain.Confidential_vm
-  | 4 -> Some Domain.Io_domain
-  | 5 -> Some Domain.Remote
-  | _ -> None
-
-let rights_byte (r : Cap.Rights.t) =
-  (if r.perm.Hw.Perm.read then 1 else 0)
-  lor (if r.perm.Hw.Perm.write then 2 else 0)
-  lor (if r.perm.Hw.Perm.exec then 4 else 0)
-  lor (if r.can_share then 8 else 0)
-  lor if r.can_grant then 16 else 0
-
-let rights_of_byte b =
-  { Cap.Rights.perm =
-      { Hw.Perm.read = b land 1 <> 0; write = b land 2 <> 0; exec = b land 4 <> 0 };
-    can_share = b land 8 <> 0;
-    can_grant = b land 16 <> 0 }
-
-let cleanup_code = function
-  | Cap.Revocation.Keep -> 0
-  | Cap.Revocation.Zero -> 1
-  | Cap.Revocation.Flush_cache -> 2
-  | Cap.Revocation.Zero_and_flush -> 3
-
-let cleanup_of_code = function
-  | 0 -> Some Cap.Revocation.Keep
-  | 1 -> Some Cap.Revocation.Zero
-  | 2 -> Some Cap.Revocation.Flush_cache
-  | 3 -> Some Cap.Revocation.Zero_and_flush
-  | _ -> None
-
-let encode call =
-  let buf = Buffer.create 64 in
-  let op n = Buffer.add_char buf (Char.chr n) in
-  (match call with
-  | Create_domain { name; kind } ->
-    op 1;
-    Buffer.add_char buf (Char.chr (kind_code kind));
-    put_string buf name
-  | Set_entry_point { domain; entry } ->
-    op 2;
-    put_u64 buf domain;
-    put_u64 buf entry
-  | Set_flush_policy { domain; flush } ->
-    op 3;
-    put_u64 buf domain;
-    Buffer.add_char buf (if flush then '\x01' else '\x00')
-  | Mark_measured { domain; range } ->
-    op 4;
-    put_u64 buf domain;
-    put_range buf range
-  | Seal { domain } ->
-    op 5;
-    put_u64 buf domain
-  | Destroy { domain } ->
-    op 6;
-    put_u64 buf domain
-  | Share { cap; to_; rights; cleanup; subrange } ->
-    op 7;
-    put_u64 buf cap;
-    put_u64 buf to_;
-    Buffer.add_char buf (Char.chr (rights_byte rights));
-    Buffer.add_char buf (Char.chr (cleanup_code cleanup));
-    (match subrange with
-    | None -> Buffer.add_char buf '\x00'
-    | Some r ->
-      Buffer.add_char buf '\x01';
-      put_range buf r)
-  | Grant { cap; to_; rights; cleanup } ->
-    op 8;
-    put_u64 buf cap;
-    put_u64 buf to_;
-    Buffer.add_char buf (Char.chr (rights_byte rights));
-    Buffer.add_char buf (Char.chr (cleanup_code cleanup))
-  | Split { cap; at } ->
-    op 9;
-    put_u64 buf cap;
-    put_u64 buf at
-  | Carve { cap; subrange } ->
-    op 10;
-    put_u64 buf cap;
-    put_range buf subrange
-  | Revoke { cap } ->
-    op 11;
-    put_u64 buf cap
-  | Enumerate -> op 12
-  | Attest { domain; nonce } ->
-    op 13;
-    put_u64 buf domain;
-    put_string buf nonce
-  | Call { target } ->
-    op 14;
-    put_u64 buf target
-  | Return -> op 15);
-  Buffer.contents buf
-
-let decode s =
-  let exception Bad of string in
-  let pos = ref 0 in
-  let byte () =
-    if !pos >= String.length s then raise (Bad "truncated");
-    let c = Char.code s.[!pos] in
-    incr pos;
-    c
-  in
-  let u64 () =
-    if !pos + 8 > String.length s then raise (Bad "truncated");
-    let v = Int64.to_int (String.get_int64_be s !pos) in
-    pos := !pos + 8;
-    if v < 0 then raise (Bad "negative operand");
-    v
-  in
-  let str () =
-    if !pos + 2 > String.length s then raise (Bad "truncated");
-    let n = Char.code s.[!pos] * 256 + Char.code s.[!pos + 1] in
-    pos := !pos + 2;
-    if !pos + n > String.length s then raise (Bad "truncated string");
-    let v = String.sub s !pos n in
-    pos := !pos + n;
-    v
-  in
-  let rng () =
-    let base = u64 () in
-    let len = u64 () in
-    if len <= 0 then raise (Bad "empty range");
-    Hw.Addr.Range.make ~base ~len
-  in
-  match
-    let call =
-      match byte () with
-      | 1 ->
-        let kind =
-          match kind_of_code (byte ()) with
-          | Some k -> k
-          | None -> raise (Bad "bad kind")
-        in
-        let name = str () in
-        Create_domain { name; kind }
-      | 2 ->
-        let domain = u64 () in
-        let entry = u64 () in
-        Set_entry_point { domain; entry }
-      | 3 ->
-        let domain = u64 () in
-        let flush = byte () <> 0 in
-        Set_flush_policy { domain; flush }
-      | 4 ->
-        let domain = u64 () in
-        let range = rng () in
-        Mark_measured { domain; range }
-      | 5 -> Seal { domain = u64 () }
-      | 6 -> Destroy { domain = u64 () }
-      | 7 ->
-        let cap = u64 () in
-        let to_ = u64 () in
-        let rights = rights_of_byte (byte ()) in
-        let cleanup =
-          match cleanup_of_code (byte ()) with
-          | Some c -> c
-          | None -> raise (Bad "bad cleanup")
-        in
-        let subrange = if byte () = 0 then None else Some (rng ()) in
-        Share { cap; to_; rights; cleanup; subrange }
-      | 8 ->
-        let cap = u64 () in
-        let to_ = u64 () in
-        let rights = rights_of_byte (byte ()) in
-        let cleanup =
-          match cleanup_of_code (byte ()) with
-          | Some c -> c
-          | None -> raise (Bad "bad cleanup")
-        in
-        Grant { cap; to_; rights; cleanup }
-      | 9 ->
-        let cap = u64 () in
-        let at = u64 () in
-        Split { cap; at }
-      | 10 ->
-        let cap = u64 () in
-        let subrange = rng () in
-        Carve { cap; subrange }
-      | 11 -> Revoke { cap = u64 () }
-      | 12 -> Enumerate
-      | 13 ->
-        let domain = u64 () in
-        let nonce = str () in
-        Attest { domain; nonce }
-      | 14 -> Call { target = u64 () }
-      | 15 -> Return
-      | n -> raise (Bad (Printf.sprintf "unknown opcode %d" n))
-    in
-    if !pos <> String.length s then raise (Bad "trailing bytes");
-    call
-  with
-  | call -> Ok call
-  | exception Bad msg -> Error msg
-  | exception Invalid_argument msg -> Error msg

@@ -14,6 +14,23 @@ let kind_to_string = function
 
 let pp_kind fmt k = Format.pp_print_string fmt (kind_to_string k)
 
+let kind_to_int = function
+  | Os -> 0
+  | Sandbox -> 1
+  | Enclave -> 2
+  | Confidential_vm -> 3
+  | Io_domain -> 4
+  | Remote -> 5
+
+let kind_of_int = function
+  | 0 -> Some Os
+  | 1 -> Some Sandbox
+  | 2 -> Some Enclave
+  | 3 -> Some Confidential_vm
+  | 4 -> Some Io_domain
+  | 5 -> Some Remote
+  | _ -> None
+
 type t = {
   id : id;
   name : string;
@@ -53,7 +70,9 @@ let is_sealed t = t.sealed
 let entry_point t = t.entry_point
 
 let set_entry_point t a =
-  if t.sealed then Error "domain is sealed" else (t.entry_point <- Some a; Ok ())
+  if t.sealed then Error "domain is sealed"
+  else if a < 0 then Error "negative entry point"
+  else (t.entry_point <- Some a; Ok ())
 
 let measured_ranges t = List.rev t.measured
 

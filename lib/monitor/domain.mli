@@ -32,6 +32,13 @@ type kind =
 val pp_kind : Format.formatter -> kind -> unit
 val kind_to_string : kind -> string
 
+val kind_to_int : kind -> int
+(** The kind's wire code, shared by every codec (API, journal, snapshot,
+    migration manifest). *)
+
+val kind_of_int : int -> kind option
+(** Inverse of {!kind_to_int}; [None] on an unknown code. *)
+
 type t
 
 val make : id:id -> name:string -> kind:kind -> created_by:id option -> t
@@ -62,7 +69,8 @@ val asid : t -> int
 val is_sealed : t -> bool
 val entry_point : t -> Hw.Addr.t option
 val set_entry_point : t -> Hw.Addr.t -> (unit, string) result
-(** Fails once sealed. *)
+(** Fails once sealed, and on a negative address (which no call or
+    journal record can carry). *)
 
 val measured_ranges : t -> Hw.Addr.Range.t list
 val add_measured_range : t -> Hw.Addr.Range.t -> (unit, string) result

@@ -198,74 +198,7 @@ let cap_result t = function
     Ok value
   | Error e -> Error (Cap_error e)
 
-(* --- conversions to the persist layer's neutral types --------------- *)
-
-let kind_to_int = function
-  | Domain.Os -> 0
-  | Domain.Sandbox -> 1
-  | Domain.Enclave -> 2
-  | Domain.Confidential_vm -> 3
-  | Domain.Io_domain -> 4
-  | Domain.Remote -> 5
-
-let kind_of_int = function
-  | 0 -> Some Domain.Os
-  | 1 -> Some Domain.Sandbox
-  | 2 -> Some Domain.Enclave
-  | 3 -> Some Domain.Confidential_vm
-  | 4 -> Some Domain.Io_domain
-  | 5 -> Some Domain.Remote
-  | _ -> None
-
-let cleanup_to_int = function
-  | Cap.Revocation.Keep -> 0
-  | Cap.Revocation.Zero -> 1
-  | Cap.Revocation.Flush_cache -> 2
-  | Cap.Revocation.Zero_and_flush -> 3
-
-let cleanup_of_int = function
-  | 0 -> Some Cap.Revocation.Keep
-  | 1 -> Some Cap.Revocation.Zero
-  | 2 -> Some Cap.Revocation.Flush_cache
-  | 3 -> Some Cap.Revocation.Zero_and_flush
-  | _ -> None
-
-let origin_to_int = function
-  | Cap.Captree.Orig_root -> 0
-  | Cap.Captree.Orig_shared -> 1
-  | Cap.Captree.Orig_granted -> 2
-  | Cap.Captree.Orig_split -> 3
-
-let origin_of_int = function
-  | 0 -> Some Cap.Captree.Orig_root
-  | 1 -> Some Cap.Captree.Orig_shared
-  | 2 -> Some Cap.Captree.Orig_granted
-  | 3 -> Some Cap.Captree.Orig_split
-  | _ -> None
-
-let state_to_int = function
-  | Cap.Captree.Active -> 0
-  | Cap.Captree.Inactive_granted -> 1
-  | Cap.Captree.Inactive_split -> 2
-
-let state_of_int = function
-  | 0 -> Some Cap.Captree.Active
-  | 1 -> Some Cap.Captree.Inactive_granted
-  | 2 -> Some Cap.Captree.Inactive_split
-  | _ -> None
-
-let rights_to_wire (r : Cap.Rights.t) =
-  { Persist.Op.r_read = r.perm.Hw.Perm.read;
-    r_write = r.perm.Hw.Perm.write;
-    r_exec = r.perm.Hw.Perm.exec;
-    r_share = r.can_share;
-    r_grant = r.can_grant }
-
-let rights_of_wire (w : Persist.Op.rights) =
-  { Cap.Rights.perm =
-      { Hw.Perm.read = w.Persist.Op.r_read; write = w.r_write; exec = w.r_exec };
-    can_share = w.r_share;
-    can_grant = w.r_grant }
+(* --- conversions to the snapshot's neutral types --------------------- *)
 
 let range_pair r = (Hw.Addr.Range.base r, Hw.Addr.Range.len r)
 let pair_range (base, len) = Hw.Addr.Range.make ~base ~len
@@ -284,7 +217,7 @@ let resource_of_wire = function
 let domain_spec d =
   { Persist.Snapshot.d_id = Domain.id d;
     d_name = Domain.name d;
-    d_kind = kind_to_int (Domain.kind d);
+    d_kind = Domain.kind_to_int (Domain.kind d);
     d_created_by = (match Domain.created_by d with Some c -> c | None -> -1);
     d_sealed = Domain.is_sealed d;
     d_entry = (match Domain.entry_point d with Some e -> e | None -> -1);
@@ -298,25 +231,26 @@ let domain_spec d =
 let node_to_wire (ns : Cap.Captree.node_spec) =
   { Persist.Snapshot.n_id = ns.ns_id;
     n_resource = resource_to_wire ns.ns_resource;
-    n_rights = rights_to_wire ns.ns_rights;
+    n_rights = Cap.Rights.to_bits ns.ns_rights;
     n_owner = ns.ns_owner;
-    n_cleanup = cleanup_to_int ns.ns_cleanup;
+    n_cleanup = Cap.Revocation.to_int ns.ns_cleanup;
     n_parent = (match ns.ns_parent with Some p -> p | None -> -1);
-    n_origin = origin_to_int ns.ns_origin;
-    n_state = state_to_int ns.ns_state;
+    n_origin = Cap.Captree.origin_to_int ns.ns_origin;
+    n_state = Cap.Captree.state_to_int ns.ns_state;
     n_children = ns.ns_children }
 
 let node_of_wire (n : Persist.Snapshot.node_spec) =
   match
-    ( cleanup_of_int n.Persist.Snapshot.n_cleanup,
-      origin_of_int n.n_origin,
-      state_of_int n.n_state )
+    ( Cap.Rights.of_bits n.Persist.Snapshot.n_rights,
+      Cap.Revocation.of_int n.n_cleanup,
+      Cap.Captree.origin_of_int n.n_origin,
+      Cap.Captree.state_of_int n.n_state )
   with
-  | Some cleanup, Some origin, Some state ->
+  | Some rights, Some cleanup, Some origin, Some state ->
     Ok
       { Cap.Captree.ns_id = n.n_id;
         ns_resource = resource_of_wire n.n_resource;
-        ns_rights = rights_of_wire n.n_rights;
+        ns_rights = rights;
         ns_owner = n.n_owner;
         ns_cleanup = cleanup;
         ns_parent = (if n.n_parent < 0 then None else Some n.n_parent);
@@ -480,16 +414,18 @@ let write_checkpoint t cfg =
    the append crashes, memory is ahead of the log by exactly the ops the
    durable prefix is missing — the redo-log contract. During recovery
    replay, logging is muted (the records already exist). *)
-let log_op t op =
+let log_op t record =
   match t.persist with
   | None -> ()
   | Some cfg when cfg.p_replaying -> ()
   | Some cfg ->
     let seq = cfg.p_seq + 1 in
     cfg.p_seq <- seq;
-    Persist.Group.append cfg.p_group ~seq (Persist.Op.encode op);
+    Persist.Group.append cfg.p_group ~seq (Journal.encode record);
     cfg.p_since_snapshot <- cfg.p_since_snapshot + 1;
     if cfg.p_since_snapshot >= cfg.p_snapshot_every then write_checkpoint t cfg
+
+let log_call t ~caller call = log_op t (Journal.Call { caller; call })
 
 (* Bracket one mutating API call: journal tree mutations and hardware
    effects, commit on success, roll BOTH back on a typed error or an
@@ -497,7 +433,7 @@ let log_op t op =
    state before it. The backend rolls back first (its undo may read
    nothing from the tree, but symmetry with the forward order —
    tree-then-hardware — costs nothing and composes: (ab)⁻¹ = b⁻¹a⁻¹).
-   [?op] is the redo record to append once both commits land; only
+   [?record] is the redo record to append once both commits land; only
    successful calls reach the log, so replay never re-fails. *)
 let txn_commit_c = Obs.Metrics.counter "txn.commit"
 let txn_rollback_c = Obs.Metrics.counter "txn.rollback"
@@ -524,7 +460,7 @@ let txn_rollback t =
   Obs.Metrics.incr txn_rollback_c;
   Obs.instant "txn.rollback"
 
-let with_txn ?op t f =
+let with_txn ?record t f =
   if Cap.Captree.in_txn t.tree then
     (* Enlisted in an outer bracket: the coordinator's journal already
        covers this mutation, and it decides commit/rollback/logging. *)
@@ -534,7 +470,7 @@ let with_txn ?op t f =
     match f () with
     | Ok _ as ok ->
       txn_commit t;
-      (match op with Some op -> log_op t op | None -> ());
+      (match record with Some r -> log_op t r | None -> ());
       ok
     | Error _ as err ->
       txn_rollback t;
@@ -623,7 +559,7 @@ let create_domain t ~caller ~name ~kind =
   Hashtbl.replace t.domains id d;
   t.backend.Backend_intf.domain_created d;
   Log.debug (fun m -> m "created %a by domain#%d" Domain.pp d caller);
-  log_op t (Persist.Op.Create_domain { caller; name; kind = kind_to_int kind });
+  log_call t ~caller (Op.Create_domain { name; kind });
   Ok id
 
 let creator_or_self ~caller ~domain d =
@@ -644,7 +580,7 @@ let set_entry_point t ~caller ~domain addr =
   let* () = configurable ~caller ~domain d in
   match Domain.set_entry_point d addr with
   | Ok () ->
-    log_op t (Persist.Op.Set_entry_point { caller; domain; entry = addr });
+    log_call t ~caller (Op.Set_entry_point { domain; entry = addr });
     Ok ()
   | Error e -> Error (Domain_config e)
 
@@ -654,7 +590,7 @@ let set_flush_policy t ~caller ~domain flush =
   if Domain.is_sealed d then Error (Domain_config "domain is sealed")
   else begin
     Domain.set_flush_on_transition d flush;
-    log_op t (Persist.Op.Set_flush_policy { caller; domain; flush });
+    log_call t ~caller (Op.Set_flush_policy { domain; flush });
     Ok ()
   end
 
@@ -674,11 +610,7 @@ let mark_measured t ~caller ~domain range =
   else
     match Domain.add_measured_range d range with
     | Ok () ->
-      log_op t
-        (Persist.Op.Mark_measured
-           { caller; domain;
-             base = Hw.Addr.Range.base range;
-             len = Hw.Addr.Range.len range });
+      log_call t ~caller (Op.Mark_measured { domain; range });
       Ok ()
     | Error e -> Error (Domain_config e)
 
@@ -773,7 +705,7 @@ let seal t ~caller ~domain =
       (* The digest hashes memory contents, which are not durable: the
          record carries the result so replay can install it verbatim. *)
       log_op t
-        (Persist.Op.Seal { caller; domain; measurement = Crypto.Sha256.to_raw digest });
+        (Journal.Seal_digest { caller; domain; measurement = Crypto.Sha256.to_raw digest });
       Ok ()
     | Error e -> Error (Domain_config e))
 
@@ -822,7 +754,8 @@ let destroy_domain t ~caller ~domain =
      the revocation cascade must leave every capability (and the
      hardware) exactly as before the call. The table removals are
      infallible and run last, so they need no undo. *)
-  with_txn ~op:(Persist.Op.Destroy_domain { caller; domain }) t (fun () ->
+  let record = Journal.Call { caller; call = Op.Destroy { domain } } in
+  with_txn ~record t (fun () ->
       let* () = revoke_all_of t ~domain in
       forget_domain t d;
       Ok ())
@@ -896,14 +829,9 @@ let share t ~caller ~cap ~to_ ~rights ~cleanup ?subrange () =
   in
   let* target = attach_target t ~caller ~to_ ~resource in
   let* () = validate_attach t target resource in
-  with_txn t (fun () ->
+  let record = Journal.Call { caller; call = Op.Share { cap; to_; rights; cleanup; subrange } } in
+  with_txn ~record t (fun () ->
       cap_result t (Cap.Captree.share t.tree cap ~to_ ~rights ~cleanup ?subrange ()))
-    ~op:
-      (Persist.Op.Share
-         { caller; cap; to_;
-           rights = rights_to_wire rights;
-           cleanup = cleanup_to_int cleanup;
-           sub = Option.map range_pair subrange })
 
 let grant t ~caller ~cap ~to_ ~rights ~cleanup =
   let* () = owned_by t ~caller cap in
@@ -914,16 +842,14 @@ let grant t ~caller ~cap ~to_ ~rights ~cleanup =
   in
   let* target = attach_target t ~caller ~to_ ~resource in
   let* () = validate_attach t target resource in
-  with_txn t (fun () -> cap_result t (Cap.Captree.grant t.tree cap ~to_ ~rights ~cleanup))
-    ~op:
-      (Persist.Op.Grant
-         { caller; cap; to_;
-           rights = rights_to_wire rights;
-           cleanup = cleanup_to_int cleanup })
+  let record = Journal.Call { caller; call = Op.Grant { cap; to_; rights; cleanup } } in
+  with_txn ~record t (fun () ->
+      cap_result t (Cap.Captree.grant t.tree cap ~to_ ~rights ~cleanup))
 
 let split t ~caller ~cap ~at =
   let* () = owned_by t ~caller cap in
-  with_txn ~op:(Persist.Op.Split { caller; cap; at }) t (fun () ->
+  let record = Journal.Call { caller; call = Op.Split { cap; at } } in
+  with_txn ~record t (fun () ->
       match Cap.Captree.split t.tree cap ~at with
       | Ok (l, r, effects) ->
         let* () = apply_effects t effects in
@@ -932,12 +858,9 @@ let split t ~caller ~cap ~at =
 
 let carve t ~caller ~cap ~subrange =
   let* () = owned_by t ~caller cap in
-  with_txn t (fun () -> cap_result t (Cap.Captree.carve t.tree cap ~subrange))
-    ~op:
-      (Persist.Op.Carve
-         { caller; cap;
-           base = Hw.Addr.Range.base subrange;
-           len = Hw.Addr.Range.len subrange })
+  let record = Journal.Call { caller; call = Op.Carve { cap; subrange } } in
+  with_txn ~record t (fun () ->
+      cap_result t (Cap.Captree.carve t.tree cap ~subrange))
 
 let may_revoke t ~caller cap =
   let rec walk id =
@@ -988,7 +911,8 @@ let revoke t ~caller ~cap =
      cost scales with fanout — deterministic, unlike wall time. *)
   let c0 = if obs then Hw.Machine.cycles t.machine else 0 in
   let r =
-    with_txn ~op:(Persist.Op.Revoke { caller; cap }) t (fun () ->
+    let record = Journal.Call { caller; call = Op.Revoke { cap } } in
+    with_txn ~record t (fun () ->
         cap_result t (Result.map (fun e -> ((), e)) (Cap.Captree.revoke t.tree cap)))
   in
   if obs && Result.is_ok r then begin
@@ -1047,7 +971,7 @@ let call t ~core ~target =
   else if not (holds_core t target core) then
     Error (Bad_transition "target domain holds no capability for this core")
   else
-    with_txn ~op:(Persist.Op.Call { core; target }) t (fun () ->
+    with_txn ~record:(Journal.Transition { core; call = Op.Call { target } }) t (fun () ->
         let* path = do_transition t ~core ~from_ ~to_ in
         t.stacks.(core) <- from_id :: t.stacks.(core);
         t.current.(core) <- target;
@@ -1066,7 +990,7 @@ let ret t ~core =
   let* prev, rest = pop t.stacks.(core) in
   let* from_ = get_domain t t.current.(core) in
   let* to_ = get_domain t prev in
-  with_txn ~op:(Persist.Op.Ret { core }) t (fun () ->
+  with_txn ~record:(Journal.Transition { core; call = Op.Return }) t (fun () ->
       let* path = do_transition t ~core ~from_ ~to_ in
       t.stacks.(core) <- rest;
       t.current.(core) <- prev;
@@ -1091,7 +1015,7 @@ let timer_tick t ~core =
     let* to_ = get_domain t heir in
     (* Only the eviction branch mutates state, so only it is logged;
        the no-op fast path above leaves the log untouched. *)
-    with_txn ~op:(Persist.Op.Timer_tick { core }) t (fun () ->
+    with_txn ~record:(Journal.Timer_tick { core }) t (fun () ->
         let* _path = do_transition t ~core ~from_ ~to_ in
         t.stacks.(core) <- [];
         t.current.(core) <- heir;
@@ -1433,50 +1357,62 @@ let adopt_seal t ~caller ~domain ~measurement =
   let raw = Crypto.Sha256.to_raw measurement in
   match replay_seal t ~caller ~domain ~measurement:raw with
   | Ok () ->
-    log_op t (Persist.Op.Seal { caller; domain; measurement = raw });
+    log_op t (Journal.Seal_digest { caller; domain; measurement = raw });
     Ok ()
   | Error e -> Error (Domain_config e)
 
-(* Re-execute one logged operation through the normal API (logging is
-   muted by [p_replaying]). Every record was appended only after the
-   original call committed, so replay against the same starting state
-   must succeed; a failure means the log and snapshot disagree and
-   replay stops at the last consistent prefix. *)
-let replay_op t (op : Persist.Op.t) =
-  let mon r = Result.map_error error_to_string (Result.map ignore r) in
+(* The call interface as data: one entry point from an {!Op.call} to
+   the monitor function it names. [Api.dispatch] and WAL replay both go
+   through it. [Call]/[Return] additionally require the caller to be the
+   domain currently running on [core] — the identity the trapping
+   hardware reports. *)
+let exec t ~caller ~core (op : Op.call) : (Op.result_value, error) result =
+  let current () =
+    if current_domain t ~core = caller then Ok ()
+    else Error (Bad_transition "caller is not current on this core")
+  in
   match op with
-  | Persist.Op.Create_domain { caller; name; kind } -> (
-    match kind_of_int kind with
-    | None -> Error (Printf.sprintf "unknown domain kind %d" kind)
-    | Some kind -> mon (create_domain t ~caller ~name ~kind))
-  | Persist.Op.Set_entry_point { caller; domain; entry } ->
-    mon (set_entry_point t ~caller ~domain entry)
-  | Persist.Op.Set_flush_policy { caller; domain; flush } ->
-    mon (set_flush_policy t ~caller ~domain flush)
-  | Persist.Op.Mark_measured { caller; domain; base; len } ->
-    mon (mark_measured t ~caller ~domain (pair_range (base, len)))
-  | Persist.Op.Seal { caller; domain; measurement } ->
+  | Op.Create_domain { name; kind } ->
+    Result.map (fun d -> Op.R_domain d) (create_domain t ~caller ~name ~kind)
+  | Op.Set_entry_point { domain; entry } ->
+    Result.map (fun () -> Op.R_unit) (set_entry_point t ~caller ~domain entry)
+  | Op.Set_flush_policy { domain; flush } ->
+    Result.map (fun () -> Op.R_unit) (set_flush_policy t ~caller ~domain flush)
+  | Op.Mark_measured { domain; range } ->
+    Result.map (fun () -> Op.R_unit) (mark_measured t ~caller ~domain range)
+  | Op.Seal { domain } -> Result.map (fun () -> Op.R_unit) (seal t ~caller ~domain)
+  | Op.Destroy { domain } -> Result.map (fun () -> Op.R_unit) (destroy_domain t ~caller ~domain)
+  | Op.Share { cap; to_; rights; cleanup; subrange } ->
+    Result.map (fun c -> Op.R_cap c) (share t ~caller ~cap ~to_ ~rights ~cleanup ?subrange ())
+  | Op.Grant { cap; to_; rights; cleanup } ->
+    Result.map (fun c -> Op.R_cap c) (grant t ~caller ~cap ~to_ ~rights ~cleanup)
+  | Op.Split { cap; at } ->
+    Result.map (fun (a, b) -> Op.R_cap_pair (a, b)) (split t ~caller ~cap ~at)
+  | Op.Carve { cap; subrange } -> Result.map (fun c -> Op.R_cap c) (carve t ~caller ~cap ~subrange)
+  | Op.Revoke { cap } -> Result.map (fun () -> Op.R_unit) (revoke t ~caller ~cap)
+  | Op.Enumerate -> Ok (Op.R_caps (caps_of t caller))
+  | Op.Attest { domain; nonce } ->
+    Result.map (fun a -> Op.R_attestation a) (attest t ~caller ~domain ~nonce)
+  | Op.Call { target } ->
+    let* () = current () in
+    Result.map (fun p -> Op.R_path p) (call t ~core ~target)
+  | Op.Return ->
+    let* () = current () in
+    Result.map (fun p -> Op.R_path p) (ret t ~core)
+
+(* Re-execute one journal record through the normal entry points
+   (logging is muted by [p_replaying]). Every record was appended only
+   after the original call committed, so replay against the same
+   starting state must succeed; a failure means the log and snapshot
+   disagree and replay stops at the last consistent prefix. *)
+let replay_record t record =
+  let mon r = Result.map_error error_to_string (Result.map ignore r) in
+  match record with
+  | Journal.Call { caller; call } -> mon (exec t ~caller ~core:0 call)
+  | Journal.Transition { core; call } -> mon (exec t ~caller:t.current.(core) ~core call)
+  | Journal.Seal_digest { caller; domain; measurement } ->
     replay_seal t ~caller ~domain ~measurement
-  | Persist.Op.Destroy_domain { caller; domain } -> mon (destroy_domain t ~caller ~domain)
-  | Persist.Op.Share { caller; cap; to_; rights; cleanup; sub } -> (
-    match cleanup_of_int cleanup with
-    | None -> Error (Printf.sprintf "unknown cleanup policy %d" cleanup)
-    | Some cleanup -> (
-      let rights = rights_of_wire rights in
-      match sub with
-      | Some s -> mon (share t ~caller ~cap ~to_ ~rights ~cleanup ~subrange:(pair_range s) ())
-      | None -> mon (share t ~caller ~cap ~to_ ~rights ~cleanup ())))
-  | Persist.Op.Grant { caller; cap; to_; rights; cleanup } -> (
-    match cleanup_of_int cleanup with
-    | None -> Error (Printf.sprintf "unknown cleanup policy %d" cleanup)
-    | Some cleanup -> mon (grant t ~caller ~cap ~to_ ~rights:(rights_of_wire rights) ~cleanup))
-  | Persist.Op.Split { caller; cap; at } -> mon (split t ~caller ~cap ~at)
-  | Persist.Op.Carve { caller; cap; base; len } ->
-    mon (carve t ~caller ~cap ~subrange:(pair_range (base, len)))
-  | Persist.Op.Revoke { caller; cap } -> mon (revoke t ~caller ~cap)
-  | Persist.Op.Call { core; target } -> mon (call t ~core ~target)
-  | Persist.Op.Ret { core } -> mon (ret t ~core)
-  | Persist.Op.Timer_tick { core } -> mon (timer_tick t ~core)
+  | Journal.Timer_tick { core } -> mon (timer_tick t ~core)
 
 (* Child lists travel implicitly: the wire format carries only parent
    pointers (Snapshot.node_spec.n_children is [] off the wire), because
@@ -1514,7 +1450,7 @@ let restore_state t (s : Persist.Snapshot.t) =
   let rec conv_domains = function
     | [] -> Ok ()
     | (d : Persist.Snapshot.domain_spec) :: rest -> (
-      match kind_of_int d.d_kind with
+      match Domain.kind_of_int d.d_kind with
       | None -> Error (Printf.sprintf "snapshot: unknown kind %d for domain %d" d.d_kind d.d_id)
       | Some kind ->
         let* measurement =
@@ -1658,40 +1594,6 @@ let rebuild_hardware t specs =
   | Some e -> Error e
   | None -> attach_all (mem_effects @ other_effects)
 
-(* Replay the WAL suffix after [base_seq]. Stops (never fails) at a
-   sequence gap, an undecodable record, or a replay mismatch — the
-   state is then the longest prefix-consistent history the durable
-   bytes support, which is the strongest sound answer. *)
-let replay_wal t cfg ~base_seq records =
-  cfg.p_replaying <- true;
-  Fun.protect
-    ~finally:(fun () -> cfg.p_replaying <- false)
-    (fun () ->
-      let rec go expected applied = function
-        | [] -> (applied, None)
-        | (seq, _) :: rest when seq <= base_seq -> go expected applied rest
-        | (seq, payload) :: rest ->
-          if seq <> expected then
-            (applied, Some (Printf.sprintf "sequence gap: expected %d, found %d" expected seq))
-          else (
-            match Persist.Op.decode payload with
-            | exception Persist.Wire.Corrupt why ->
-              (applied, Some (Printf.sprintf "undecodable record at seq %d: %s" seq why))
-            | op -> (
-              match replay_op t op with
-              | Ok () ->
-                cfg.p_seq <- seq;
-                go (seq + 1) (applied + 1) rest
-              | Error why ->
-                (applied,
-                 Some
-                   (Format.asprintf "replay of %a (seq %d) failed: %s" Persist.Op.pp op seq why))
-              | exception e ->
-                (applied,
-                 Some (Printf.sprintf "replay raised at seq %d: %s" seq (Printexc.to_string e)))))
-      in
-      go (base_seq + 1) 0 records)
-
 let recover ?(signer_height = 6) ?keypool ?(snapshot_every = 1000) ?(fsync_every = 1)
     ?(latency_bound = max_int) machine ~store ~backend ~tpm ~rng ~monitor_range =
   let loaded = Persist.Snapshot.load_latest_ex store in
@@ -1739,7 +1641,13 @@ let recover ?(signer_height = 6) ?keypool ?(snapshot_every = 1000) ?(fsync_every
         in
         cfg.p_seq <- base_seq;
         t.persist <- Some cfg;
-        let applied, stopped = replay_wal t cfg ~base_seq wal.Persist.Wal.records in
+        cfg.p_replaying <- true;
+        let applied, stopped =
+          Fun.protect
+            ~finally:(fun () -> cfg.p_replaying <- false)
+            (fun () -> Journal.replay ~base_seq wal.Persist.Wal.records (replay_record t))
+        in
+        cfg.p_seq <- base_seq + applied;
         Ok (applied, stopped))
   in
   match setup with

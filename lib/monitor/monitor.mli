@@ -58,6 +58,15 @@ val attestation_root : t -> Crypto.Sha256.digest
 val key_binding_pcr : int
 (** PCR 18: extended at boot with the monitor's attestation root. *)
 
+(** {2 The call interface as data} *)
+
+val exec : t -> caller:Domain.id -> core:int -> Op.call -> (Op.result_value, error) result
+(** Run one {!Op.call} on behalf of [caller] through the monitor
+    function it names; [Call] and [Return] also require [caller] to be
+    the domain current on [core]. {!Api.dispatch} and WAL replay both
+    go through it. May raise [Invalid_argument] or [Failure] on
+    malformed operands ({!Api.dispatch} converts them). *)
+
 (** {2 Domain lifecycle} *)
 
 val create_domain :
@@ -293,7 +302,8 @@ val transition_count : t -> int
 (** {2 Durability (crash-restart recovery)}
 
     A logical redo layer: every committed mutating API call appends a
-    CRC-framed record to a {!Persist.Store} WAL through a group-commit
+    CRC-framed {!Journal} record — the call, tagged with its caller — to
+    a {!Persist.Store} WAL through a group-commit
     queue ({!Persist.Group}), and periodic checkpoints bound the replay
     distance. Checkpoints are *incremental*: only captree buckets
     dirtied since the previous checkpoint are re-serialized, as
@@ -395,7 +405,7 @@ val recover :
 
 (** {2 Multi-monitor coordination}
 
-    Hooks the sharded front end ({!Sharded}) builds on: an explicit
+    Hooks a multi-monitor front end (the sharded federation) builds on: an explicit
     transaction bracket for two-phase commit across several monitors,
     body-only attestation for cross-shard aggregation, and verbatim
     digest installation for seals measured elsewhere. *)
@@ -435,7 +445,7 @@ val adopt_seal :
   domain:Domain.id ->
   measurement:Crypto.Sha256.digest ->
   (unit, error) result
-(** {!install_seal}, but logged as a first-class [Seal] operation so the
+(** {!install_seal}, but journaled as a seal-digest record so the
     adopting monitor's own WAL replays it — used when a migrated-in
     domain is reassembled from verbatim-copied bytes under the
     measurement its transfer receipt binds. *)

@@ -43,7 +43,9 @@ type resource_spec =
 type node_spec = {
   n_id : int;
   n_resource : resource_spec;
-  n_rights : Op.rights;
+  n_rights : int;
+      (** Rights bits; a set bit above the low five makes the record
+          corrupt. *)
   n_owner : int;
   n_cleanup : int;
   n_parent : int; (** -1 = root. *)

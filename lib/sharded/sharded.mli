@@ -18,6 +18,8 @@
     in global ids, appended post-commit (the WAL contract of
     {!Monitor} unchanged). *)
 
+open Tyche
+
 type t
 
 val max_shards : int

@@ -13,6 +13,13 @@ let gen_kind =
     [ Tyche.Domain.Os; Tyche.Domain.Sandbox; Tyche.Domain.Enclave;
       Tyche.Domain.Confidential_vm; Tyche.Domain.Io_domain ]
 
+(* Every kind, for the codec: the wire must carry proxies too. *)
+let gen_any_kind = QCheck.Gen.oneof [ gen_kind; QCheck.Gen.return Tyche.Domain.Remote ]
+
+(* Names and nonces past the 64 KiB mark, where a 16-bit length prefix
+   would silently wrap. *)
+let gen_any_string = QCheck.Gen.(oneof [ string_size (0 -- 12); string_size (0 -- 70_000) ])
+
 let gen_rights =
   QCheck.Gen.oneofl
     [ Cap.Rights.full; Cap.Rights.rw; Cap.Rights.rx; Cap.Rights.read_only;
@@ -29,11 +36,10 @@ let gen_range =
       (fun b l -> range ~base:(b * page) ~len:((l + 1) * page))
       (0 -- 100) (0 -- 8))
 
-let gen_call =
+let gen_call_of gen_string gen_kind =
   QCheck.Gen.(
     oneof
-      [ map2 (fun name kind -> Tyche.Api.Create_domain { name; kind })
-          (string_size (0 -- 12)) gen_kind;
+      [ map2 (fun name kind -> Tyche.Api.Create_domain { name; kind }) gen_string gen_kind;
         map2 (fun domain entry -> Tyche.Api.Set_entry_point { domain; entry })
           (0 -- 8) (map (fun p -> p * page) (0 -- 100));
         map2 (fun domain flush -> Tyche.Api.Set_flush_policy { domain; flush }) (0 -- 8) bool;
@@ -50,17 +56,21 @@ let gen_call =
         map2 (fun cap subrange -> Tyche.Api.Carve { cap; subrange }) (0 -- 60) gen_range;
         map (fun cap -> Tyche.Api.Revoke { cap }) (0 -- 60);
         return Tyche.Api.Enumerate;
-        map2 (fun domain nonce -> Tyche.Api.Attest { domain; nonce }) (0 -- 8)
-          (string_size (0 -- 8));
+        map2 (fun domain nonce -> Tyche.Api.Attest { domain; nonce }) (0 -- 8) gen_string;
         map (fun target -> Tyche.Api.Call { target }) (0 -- 8);
         return Tyche.Api.Return ])
 
+let gen_call = gen_call_of QCheck.Gen.(string_size (0 -- 12)) gen_kind
 let arb_call = QCheck.make ~print:(Format.asprintf "%a" Tyche.Api.pp_call) gen_call
+
+let arb_any_call =
+  QCheck.make ~print:(Format.asprintf "%a" Tyche.Api.pp_call)
+    (gen_call_of gen_any_string gen_any_kind)
 
 (* Wire format *)
 
 let prop_roundtrip =
-  QCheck.Test.make ~name:"api: encode/decode roundtrip" ~count:500 arb_call (fun call ->
+  QCheck.Test.make ~name:"api: encode/decode roundtrip" ~count:500 arb_any_call (fun call ->
       match Tyche.Api.decode (Tyche.Api.encode call) with
       | Ok call' -> call = call'
       | Error _ -> false)
@@ -85,6 +95,37 @@ let test_decode_trailing_garbage () =
   match Tyche.Api.decode wire with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "trailing bytes accepted"
+
+(* A rights byte with a bit above the low five is malformed, not a
+   weaker grant: the decoder refuses it. *)
+let test_decode_bad_rights () =
+  let wire =
+    Tyche.Api.encode
+      (Tyche.Api.Grant
+         { cap = 1; to_ = 2; rights = Cap.Rights.rw; cleanup = Cap.Revocation.Keep })
+  in
+  (* opcode, cap and target words, then the rights byte *)
+  let bad = Bytes.of_string wire in
+  Bytes.set bad 17 '\x23';
+  match Tyche.Api.decode (Bytes.to_string bad) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "unknown rights bits accepted"
+
+(* What recovery promises to rebuild: the tree and the domain table. *)
+let durable_state m =
+  ( Cap.Captree.dump (Tyche.Monitor.tree m),
+    List.map
+      (fun d ->
+        ( Tyche.Domain.id d,
+          Tyche.Domain.name d,
+          Tyche.Domain.kind d,
+          Tyche.Domain.created_by d,
+          Tyche.Domain.is_sealed d,
+          Tyche.Domain.entry_point d,
+          Tyche.Domain.measured_ranges d,
+          Tyche.Domain.flush_on_transition d,
+          Option.map Crypto.Sha256.to_raw (Tyche.Domain.measurement d) ))
+      (Tyche.Monitor.domains m) )
 
 (* End-to-end dispatch over the wire *)
 
@@ -149,6 +190,39 @@ let test_dispatch_over_wire () =
   | r -> Alcotest.failf "attest: %s" (Format.asprintf "%a" Tyche.Api.pp_response r));
   check_no_violations m
 
+(* A domain name past the 64 KiB mark rides the journal's call codec:
+   recovery must replay it, and every record after it. *)
+let test_long_name_survives_recovery () =
+  let w = boot_x86 () in
+  let store = Persist.Store.mem () in
+  Tyche.Monitor.enable_persistence w.monitor ~store ();
+  let create name =
+    match
+      Tyche.Api.dispatch w.monitor ~caller:os ~core:0
+        (Tyche.Api.Create_domain { name; kind = Tyche.Domain.Sandbox })
+    with
+    | Ok (Tyche.Api.R_domain _) -> ()
+    | r -> Alcotest.failf "create: %s" (Format.asprintf "%a" Tyche.Api.pp_response r)
+  in
+  create (String.init 70_000 (fun i -> Char.chr (97 + (i mod 26))));
+  create "after";
+  let m2, report = get_ok_str (recover_like w ~store) in
+  Alcotest.(check (option string)) "replayed to the end" None
+    report.Tyche.Monitor.rr_stopped_early;
+  Alcotest.(check bool) "recovered state equals live" true
+    (durable_state m2 = durable_state w.monitor)
+
+(* The wire cannot carry a negative address, so neither may a committed
+   call: the journal must be able to record every call that succeeds. *)
+let test_negative_entry_refused () =
+  let w = boot_x86 () in
+  match
+    Tyche.Api.dispatch w.monitor ~caller:os ~core:0
+      (Tyche.Api.Set_entry_point { domain = os; entry = -4096 })
+  with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "negative entry point accepted"
+
 let test_dispatch_enforces_core_identity () =
   let w = boot_x86 () in
   (* A caller that is not current on the core cannot transition it. *)
@@ -160,8 +234,14 @@ let test_dispatch_enforces_core_identity () =
    invariants hold afterwards. Callers are drawn at random (often
    unauthorized), targets frequently dangle. *)
 
+(* Every sequence runs on a journaling monitor (mem store): besides
+   keeping the invariants, a crash-restart from its store alone must
+   rebuild the live tree and domain table. *)
 let fuzz_property boot_world calls =
-  let m = (boot_world ()).monitor in
+  let w = boot_world () in
+  let store = Persist.Store.mem () in
+  let m = w.monitor in
+  Tyche.Monitor.enable_persistence m ~store ();
   List.iter
     (fun (caller, call) -> ignore (Tyche.Api.dispatch m ~caller ~core:0 call))
     calls;
@@ -174,6 +254,14 @@ let fuzz_property boot_world calls =
   Tyche.Invariants.check_tree m = []
   && Tyche.Invariants.check_refcounts m = []
   && Tyche.Invariants.check_hardware_matches_tree m = []
+  &&
+  match recover_like w ~store with
+  | Error e -> QCheck.Test.fail_reportf "recovery failed: %s" e
+  | Ok (m2, report) ->
+    (match report.Tyche.Monitor.rr_stopped_early with
+    | Some why -> QCheck.Test.fail_reportf "replay stopped early: %s" why
+    | None -> ());
+    durable_state m2 = durable_state m
 
 let arb_calls = QCheck.(make Gen.(list_size (0 -- 80) (pair (0 -- 6) gen_call)))
 
@@ -194,9 +282,13 @@ let () =
         [ qt prop_roundtrip;
           qt prop_decode_total;
           qt prop_decode_truncation;
-          Alcotest.test_case "trailing garbage" `Quick test_decode_trailing_garbage ] );
+          Alcotest.test_case "trailing garbage" `Quick test_decode_trailing_garbage;
+          Alcotest.test_case "unknown rights bits rejected" `Quick test_decode_bad_rights ] );
       ( "dispatch",
         [ Alcotest.test_case "enclave lifecycle over the wire" `Quick test_dispatch_over_wire;
           Alcotest.test_case "core identity enforced" `Quick
-            test_dispatch_enforces_core_identity ] );
+            test_dispatch_enforces_core_identity;
+          Alcotest.test_case "64 KiB+ domain name survives recovery" `Quick
+            test_long_name_survives_recovery;
+          Alcotest.test_case "negative entry point refused" `Quick test_negative_entry_refused ] );
       ("fuzz", [ qt prop_monitor_fuzz; qt prop_monitor_fuzz_riscv ]) ]

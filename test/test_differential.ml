@@ -149,7 +149,7 @@ let test_differential () =
    scratch 1-shard world (ops need real ids, as above) and replayed
    verbatim through both. *)
 
-let sharded_dispatch t call = Tyche.Sharded.dispatch t ~caller:os ~core call
+let sharded_dispatch t call = Sharded.dispatch t ~caller:os ~core call
 
 let sharded_trace () =
   let t = boot_sharded ~shards:1 () in
@@ -226,11 +226,11 @@ let sharded_replay t sbx trace =
         summarize_response resp)
       trace
   in
-  let tree = Tyche.Monitor.tree (Tyche.Sharded.shard_monitor t 0) in
+  let tree = Tyche.Monitor.tree (Sharded.shard_monitor t 0) in
   { s_responses = responses;
     s_attest_bodies = List.rev !attests;
     s_fingerprint = (Cap.Captree.dump tree, Cap.Captree.next_id tree);
-    s_sbx_caps = Tyche.Sharded.caps_of t sbx }
+    s_sbx_caps = Sharded.caps_of t sbx }
 
 let test_sharded_differential () =
   let sbx, trace = sharded_trace () in

@@ -600,9 +600,20 @@ let prop_tamper =
 
 let test_rights_bits () =
   for b = 0 to 31 do
-    Alcotest.(check int) "rights bits round-trip" b
-      (Distributed.Fleet.Wire.rights_bits (Distributed.Fleet.Wire.rights_of_bits b))
+    Alcotest.(check (option int)) "rights bits round-trip" (Some b)
+      (Option.map Cap.Rights.to_bits (Cap.Rights.of_bits b))
   done
+
+(* A delegation whose rights byte sets a bit above the low five is a
+   malformed frame: the decoder refuses it instead of dropping the bit. *)
+let test_delegate_bad_rights_rejected () =
+  let body =
+    Distributed.Fleet.Wire.encode_body ~origin:"a" ~seq:1
+      (Distributed.Fleet.Wire.Delegate { del_id = 1; base = 0; len = 4096; rights = 0x21 })
+  in
+  match Distributed.Fleet.Wire.decode_body body with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "delegate frame with unknown rights bits accepted"
 
 let () =
   Alcotest.run "fleet"
@@ -641,4 +652,6 @@ let () =
       ( "wire",
         [ QCheck_alcotest.to_alcotest prop_roundtrip;
           QCheck_alcotest.to_alcotest prop_tamper;
-          Alcotest.test_case "rights bits" `Quick test_rights_bits ] ) ]
+          Alcotest.test_case "rights bits" `Quick test_rights_bits;
+          Alcotest.test_case "unknown rights bits rejected" `Quick
+            test_delegate_bad_rights_rejected ] ) ]

@@ -666,6 +666,23 @@ let prop_truncation =
       done;
       !ok)
 
+(* A manifest naming an unknown cleanup code or rights bits is malformed:
+   the decoder refuses it rather than mapping the code to some policy. *)
+let test_manifest_bad_codes_rejected () =
+  let mf = gen_manifest (Random.State.make [| 7 |]) in
+  let with_caps caps = { mf with Distributed.Migrate.Wire.mf_caps = caps } in
+  List.iter
+    (fun (what, mf) ->
+      match
+        Distributed.Migrate.Wire.decode_manifest (Distributed.Migrate.Wire.encode_manifest mf)
+      with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "manifest with %s accepted" what)
+    [ ("cleanup code 4", with_caps [ (0, 4096, 7, 4) ]);
+      ("rights bit 5", with_caps [ (0, 4096, 0x20, 0) ]);
+      ("delegation rights bit 5",
+       { (with_caps []) with Distributed.Migrate.Wire.mf_dels = [ ("peer", 0, 4096, 0x40) ] }) ]
+
 (* The migration frames ride the fleet data plane, so tampering is the
    fleet MAC's problem: flip every byte of the sealed datagram and the
    wire must reject each one — same discipline as the fleet's own
@@ -724,4 +741,6 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_frame_roundtrip;
           QCheck_alcotest.to_alcotest prop_manifest_roundtrip;
           QCheck_alcotest.to_alcotest prop_truncation;
-          QCheck_alcotest.to_alcotest prop_tamper ] ) ]
+          QCheck_alcotest.to_alcotest prop_tamper;
+          Alcotest.test_case "unknown cleanup and rights codes rejected" `Quick
+            test_manifest_bad_codes_rejected ] ) ]

@@ -131,32 +131,42 @@ let test_frame_roundtrip () =
 
 let test_op_roundtrip () =
   let rights =
-    { Persist.Op.r_read = true; r_write = false; r_exec = true; r_share = false; r_grant = true }
+    { Cap.Rights.perm = { Hw.Perm.read = true; write = false; exec = true };
+      can_share = false;
+      can_grant = true }
   in
-  let ops =
-    [ Persist.Op.Create_domain { caller = 0; name = "enclave-1"; kind = 2 };
-      Persist.Op.Set_entry_point { caller = 0; domain = 3; entry = 0x40_0000 };
-      Persist.Op.Set_flush_policy { caller = 1; domain = 3; flush = true };
-      Persist.Op.Mark_measured { caller = 0; domain = 3; base = 4096; len = 8192 };
-      Persist.Op.Seal { caller = 0; domain = 3; measurement = String.make 32 '\x7f' };
-      Persist.Op.Destroy_domain { caller = 0; domain = 3 };
-      Persist.Op.Share { caller = 0; cap = 7; to_ = 3; rights; cleanup = 1; sub = Some (0, 4096) };
-      Persist.Op.Share { caller = 0; cap = 7; to_ = 3; rights; cleanup = 0; sub = None };
-      Persist.Op.Grant { caller = 2; cap = 9; to_ = 4; rights; cleanup = 3 };
-      Persist.Op.Split { caller = 0; cap = 5; at = 12288 };
-      Persist.Op.Carve { caller = 0; cap = 5; base = 4096; len = 4096 };
-      Persist.Op.Revoke { caller = 0; cap = 11 };
-      Persist.Op.Call { core = 1; target = 3 };
-      Persist.Op.Ret { core = 1 };
-      Persist.Op.Timer_tick { core = 0 } ]
+  let range base len = Hw.Addr.Range.make ~base ~len in
+  let by caller call = Tyche.Journal.Call { caller; call } in
+  let records =
+    [ by 0 (Tyche.Op.Create_domain { name = "enclave-1"; kind = Tyche.Domain.Enclave });
+      by 0 (Tyche.Op.Set_entry_point { domain = 3; entry = 0x40_0000 });
+      by 1 (Tyche.Op.Set_flush_policy { domain = 3; flush = true });
+      by 0 (Tyche.Op.Mark_measured { domain = 3; range = range 4096 8192 });
+      Tyche.Journal.Seal_digest { caller = 0; domain = 3; measurement = String.make 32 '\x7f' };
+      by 0 (Tyche.Op.Destroy { domain = 3 });
+      by 0
+        (Tyche.Op.Share
+           { cap = 7; to_ = 3; rights; cleanup = Cap.Revocation.Zero;
+             subrange = Some (range 0 4096) });
+      by 0
+        (Tyche.Op.Share
+           { cap = 7; to_ = 3; rights; cleanup = Cap.Revocation.Keep; subrange = None });
+      by 2
+        (Tyche.Op.Grant { cap = 9; to_ = 4; rights; cleanup = Cap.Revocation.Zero_and_flush });
+      by 0 (Tyche.Op.Split { cap = 5; at = 12288 });
+      by 0 (Tyche.Op.Carve { cap = 5; subrange = range 4096 4096 });
+      by 0 (Tyche.Op.Revoke { cap = 11 });
+      Tyche.Journal.Transition { core = 1; call = Tyche.Op.Call { target = 3 } };
+      Tyche.Journal.Transition { core = 1; call = Tyche.Op.Return };
+      Tyche.Journal.Timer_tick { core = 0 } ]
   in
   List.iter
-    (fun op ->
-      let back = Persist.Op.decode (Persist.Op.encode op) in
+    (fun record ->
+      let back = Tyche.Journal.decode (Tyche.Journal.encode record) in
       Alcotest.(check bool)
-        (Format.asprintf "%a" Persist.Op.pp op)
-        true (op = back))
-    ops
+        (Format.asprintf "%a" Tyche.Journal.pp record)
+        true (record = back))
+    records
 
 (* A pool of valid framed records to cut and corrupt. *)
 let sample_blob n =

@@ -49,6 +49,26 @@ let boot_riscv ?(seed = 0x51L) ?(cores = 2) ?(mem_size = 16 * 1024 * 1024) ?allo
   in
   { machine; tpm; rng; boot_report; backend; monitor }
 
+(* Crash-restart: rebuild a monitor from [store] alone, onto a fresh
+   machine shaped like [w]'s. The measured boot is deterministic, so the
+   monitor range matches the crashed machine's. *)
+let recover_like w ~store =
+  let old = w.machine in
+  let machine =
+    Hw.Machine.create ~arch:old.Hw.Machine.arch ~cores:(Array.length old.Hw.Machine.cores)
+      ~mem_size:(Hw.Physmem.size old.Hw.Machine.mem) ()
+  in
+  let rng = Crypto.Rng.create ~seed:0x99L in
+  let tpm = Rot.Tpm.create rng in
+  let br = Rot.Boot.measured_boot tpm machine ~firmware ~loader:loader_blob ~monitor_image in
+  let monitor_range = br.Rot.Boot.monitor_range in
+  let backend =
+    match old.Hw.Machine.arch with
+    | Hw.Cpu.X86_64 -> Backend_x86.create machine ()
+    | Hw.Cpu.Riscv64 -> Backend_riscv.create machine ~monitor_range ()
+  in
+  Tyche.Monitor.recover machine ~store ~backend ~tpm ~rng ~monitor_range
+
 (* A sharded federation: [shards] independent x86 worlds behind one
    global namespace. [devices] attach to shard 0 (the sharded monitor
    routes device capabilities there). *)
@@ -66,11 +86,11 @@ let boot_sharded ?(seed = 0x71L) ?(shards = 2) ?(cores = 2)
     let backend = Backend_x86.create machine () in
     (machine, backend, tpm, srng, report.Rot.Boot.monitor_range)
   in
-  Tyche.Sharded.boot ~shards ~rng ~mk ()
+  Sharded.boot ~shards ~rng ~mk ()
 
 (* The OS's largest memory capability on one shard, as a global id. *)
 let sharded_os_memory_cap t ~shard =
-  let m = Tyche.Sharded.shard_monitor t shard in
+  let m = Sharded.shard_monitor t shard in
   let tree = Tyche.Monitor.tree m in
   let size cap =
     match Cap.Captree.resource tree cap with
@@ -80,16 +100,16 @@ let sharded_os_memory_cap t ~shard =
   match Tyche.Monitor.caps_of m Tyche.Domain.initial with
   | [] -> Alcotest.fail "domain 0 holds no capabilities on the shard"
   | caps ->
-    Tyche.Sharded.gcap ~shard
+    Sharded.gcap ~shard
       (List.fold_left (fun best c -> if size c > size best then c else best) (List.hd caps) caps)
 
 (* The OS's capability for a (global) core id, as a global id. *)
 let sharded_os_core_cap t core =
-  let shard = core / Tyche.Sharded.cores_per_shard t in
-  let local = core mod Tyche.Sharded.cores_per_shard t in
-  let m = Tyche.Sharded.shard_monitor t shard in
+  let shard = core / Sharded.cores_per_shard t in
+  let local = core mod Sharded.cores_per_shard t in
+  let m = Sharded.shard_monitor t shard in
   let tree = Tyche.Monitor.tree m in
-  Tyche.Sharded.gcap ~shard
+  Sharded.gcap ~shard
     (List.find
        (fun cap -> Cap.Captree.resource tree cap = Some (Cap.Resource.Cpu_core local))
        (Tyche.Monitor.caps_of m Tyche.Domain.initial))
