@@ -1422,10 +1422,14 @@ let e17_ceiling op = if op = "e17 journaled pair, tracing on" then Some 1.2 else
    - "e18 ckpt bytes@10k": bytes appended to the snapshot/segment
      streams by that incremental checkpoint vs the full snapshot
      record.
-   - "e18 revoke cascade fanout=N": revocation-cascade latency with a
-     per-victim breakdown at fanouts 10/100/1000 (informational, no
-     twin — the per-victim histogram lives in Obs as
-     [revoke.cascade_cycles_per_victim]). *)
+   - "e18 revoke cascade fanout=N" (sub-shares spread over seven
+     peers) and "e18 revoke cascade one-domain fanout=N" (all held by
+     one peer): revocation-cascade latency with a per-victim breakdown
+     at fanouts 10/100/1000 and the table entries the backend's range
+     queries examined per victim (informational, no twin — the
+     per-victim histogram lives in Obs as
+     [revoke.cascade_cycles_per_victim]; the counted-work gate is in
+     test/test_backends.ml). *)
 let e18 ?(smoke = false) () =
   if smoke then header "E18: durable throughput [smoke]"
   else header "E18: durable throughput — group commit, incremental checkpoints";
@@ -1572,40 +1576,50 @@ let e18 ?(smoke = false) () =
   in
   let next_base = ref 0x400000 in
   let fanouts = if smoke then [ 10; 100 ] else [ 10; 100; 1000 ] in
+  (* Two shapes: sub-shares spread over seven peers, or all held by one
+     peer — the shape whose cost grew with the victim's holdings while
+     the backend's revocation queries scanned whole tables. *)
   List.iter
-    (fun fanout ->
-      let iters = if smoke then 3 else if fanout >= 1000 then 5 else 20 in
-      let total = ref 0.0 in
-      for _ = 1 to iters do
-        (* One parent share, [fanout] sub-shares hanging off it: the
-           revoke walks the whole subtree. *)
-        let base = !next_base in
-        next_base := base + ((fanout + 1) * page);
-        let parent =
-          ok
-            (Tyche.Monitor.share mr ~caller:os ~cap:bigr ~to_:peers.(0)
-               ~rights:Cap.Rights.rw ~cleanup:Cap.Revocation.Keep
-               ~subrange:(range ~base ~len:((fanout + 1) * page)) ())
-        in
-        for k = 0 to fanout - 1 do
-          ignore
-            (ok
-               (Tyche.Monitor.share mr ~caller:peers.(0) ~cap:parent
-                  ~to_:peers.(1 + (k mod 7)) ~rights:Cap.Rights.read_only
-                  ~cleanup:Cap.Revocation.Keep
-                  ~subrange:(range ~base:(base + (k * page)) ~len:page) ()))
-        done;
-        let t0 = Unix.gettimeofday () in
-        ok (Tyche.Monitor.revoke mr ~caller:os ~cap:parent);
-        total := !total +. (Unix.gettimeofday () -. t0)
-      done;
-      let ns = !total /. float_of_int iters *. 1e9 in
-      add fanout
-        (Printf.sprintf "e18 revoke cascade fanout=%d" fanout)
-        ~fast:ns ~baseline:Float.nan
-        (Printf.sprintf "%.0f ns/victim, %d victims" (ns /. float_of_int (fanout + 1))
-           (fanout + 1)))
-    fanouts;
+    (fun (shape, holder) ->
+      List.iter
+        (fun fanout ->
+          let iters = if smoke then 3 else if fanout >= 1000 then 5 else 20 in
+          let total = ref 0.0 and examined = ref 0 in
+          for _ = 1 to iters do
+            (* One parent share, [fanout] sub-shares hanging off it: the
+               revoke walks the whole subtree. *)
+            let base = !next_base in
+            next_base := base + ((fanout + 1) * page);
+            let parent =
+              ok
+                (Tyche.Monitor.share mr ~caller:os ~cap:bigr ~to_:peers.(0)
+                   ~rights:Cap.Rights.rw ~cleanup:Cap.Revocation.Keep
+                   ~subrange:(range ~base ~len:((fanout + 1) * page)) ())
+            in
+            for k = 0 to fanout - 1 do
+              ignore
+                (ok
+                   (Tyche.Monitor.share mr ~caller:peers.(0) ~cap:parent
+                      ~to_:peers.(holder k) ~rights:Cap.Rights.read_only
+                      ~cleanup:Cap.Revocation.Keep
+                      ~subrange:(range ~base:(base + (k * page)) ~len:page) ()))
+            done;
+            let e0 = Hw.Machine.examined wr.machine in
+            let t0 = Unix.gettimeofday () in
+            ok (Tyche.Monitor.revoke mr ~caller:os ~cap:parent);
+            total := !total +. (Unix.gettimeofday () -. t0);
+            examined := !examined + (Hw.Machine.examined wr.machine - e0)
+          done;
+          let ns = !total /. float_of_int iters *. 1e9 in
+          let victims = fanout + 1 in
+          add fanout
+            (Printf.sprintf "e18 revoke cascade %sfanout=%d" shape fanout)
+            ~fast:ns ~baseline:Float.nan
+            (Printf.sprintf "%.0f ns/victim, %d victims, %.1f entries examined/victim"
+               (ns /. float_of_int victims) victims
+               (float_of_int !examined /. float_of_int (iters * victims))))
+        fanouts)
+    [ ("", fun k -> 1 + (k mod 7)); ("one-domain ", fun _ -> 1) ];
   List.rev !rows
 
 (* Floors for the E18 ratios (same busy-CI discipline as {!e16_floor}):
@@ -1620,7 +1634,8 @@ let e18 ?(smoke = false) () =
    - ckpt bytes: one manifest + one segment vs the full record. The
      manifest's (bucket, hash) table keeps the ratio lower than the
      pause ratio; 5x holds from 1k caps up.
-   - revoke cascade rows: informational (NaN reference). *)
+   - revoke cascade rows, spread and one-domain: informational (NaN
+     reference). *)
 let e18_floor op =
   if op = "e18 group commit(64) file store" then Some 5.0
   else if op = "e18 ckpt pause@10k" then Some 10.0

@@ -19,11 +19,11 @@ type state = {
   mutable deferred : (unit -> unit) list;
 }
 
-let registry : (Tyche.Backend_intf.t * state) list ref = ref []
+let registry : state Tyche.Backend_intf.Registry.t = Tyche.Backend_intf.Registry.create ()
 
 let state_of backend =
-  match List.find_opt (fun (b, _) -> b == backend) !registry with
-  | Some (_, s) -> s
+  match Tyche.Backend_intf.Registry.find registry backend with
+  | Some s -> s
   | None -> invalid_arg "Backend_riscv: not a backend created by this module"
 
 (* --- transactions --------------------------------------------------- *)
@@ -108,24 +108,59 @@ let journal_iommu s device =
     record s (fun () -> Hw.Iommu.set_windows iommu ~device ws)
   end
 
-(* Keep layouts sorted by base; Merge_adjacent folds touching ranges of
-   equal permission into a single PMP segment. *)
+(* Keep layouts sorted by base and free of overlaps. PMP takes the
+   first matching entry, so two overlapping holdings would let the
+   weaker one win: where holdings overlap, each run of bytes becomes
+   one segment carrying the union of the permissions covering it.
+   Merge_adjacent also folds touching ranges of equal permission into
+   a single PMP segment; First_fit keeps disjoint holdings apart. *)
 let normalize strategy pieces =
-  let sorted =
-    List.sort (fun (a, _) (b, _) -> Hw.Addr.Range.compare a b) pieces
+  let sorted = List.sort (fun (a, _) (b, _) -> Hw.Addr.Range.compare a b) pieces in
+  let joins limit r =
+    match strategy with
+    | Merge_adjacent -> Hw.Addr.Range.base r <= limit
+    | First_fit -> Hw.Addr.Range.base r < limit
   in
-  match strategy with
-  | First_fit -> sorted
-  | Merge_adjacent ->
-    let rec fold = function
-      | (r1, p1) :: (r2, p2) :: rest
-        when Hw.Perm.equal p1 p2
-             && (Hw.Addr.Range.adjacent r1 r2 || Hw.Addr.Range.overlaps r1 r2) ->
-        fold ((Option.get (Hw.Addr.Range.merge r1 r2), p1) :: rest)
-      | x :: rest -> x :: fold rest
-      | [] -> []
-    in
-    fold sorted
+  (* Split a cluster of joined pieces at every boundary, give each run
+     the union of the permissions covering it, and merge neighbouring
+     runs of equal permission. *)
+  let resolve = function
+    | [ _ ] as single -> single
+    | cluster ->
+      let cuts =
+        List.concat_map (fun (r, _) -> [ Hw.Addr.Range.base r; Hw.Addr.Range.limit r ]) cluster
+        |> List.sort_uniq Int.compare
+      in
+      let rec runs = function
+        | lo :: (hi :: _ as rest) ->
+          let perm =
+            List.fold_left
+              (fun acc (r, p) ->
+                if Hw.Addr.Range.base r <= lo && Hw.Addr.Range.limit r >= hi then
+                  Some (Hw.Perm.union p (Option.value acc ~default:Hw.Perm.none))
+                else acc)
+              None cluster
+          in
+          let tail = runs rest in
+          (match perm, tail with
+          | None, _ -> tail
+          | Some p, (r, q) :: tail' when Hw.Addr.Range.base r = hi && Hw.Perm.equal p q ->
+            (Hw.Addr.Range.of_bounds ~lo ~hi:(Hw.Addr.Range.limit r), p) :: tail'
+          | Some p, _ -> (Hw.Addr.Range.of_bounds ~lo ~hi, p) :: tail)
+        | _ -> []
+      in
+      runs cuts
+  in
+  let rec clusters acc cluster limit = function
+    | [] -> List.rev (List.rev_append (resolve (List.rev cluster)) acc)
+    | ((r, _) as x) :: rest ->
+      if cluster <> [] && joins limit r then
+        clusters acc (x :: cluster) (max limit (Hw.Addr.Range.limit r)) rest
+      else
+        clusters (List.rev_append (resolve (List.rev cluster)) acc) [ x ]
+          (Hw.Addr.Range.limit r) rest
+  in
+  clusters [] [] min_int sorted
 
 let layout_add s domain range perm =
   let l = layout_ref s domain in
@@ -143,6 +178,7 @@ let layout_remove s domain range =
 (* Hoisted span handles: one registry lookup per process, not per
    hardware write (see {!Obs.Profile.handle}). *)
 let h_pmp_reprogram = Obs.Profile.handle "pmp.reprogram"
+let h_taint_detach = Obs.Profile.handle "taint.detach"
 let h_iommu_grant = Obs.Profile.handle "iommu.grant"
 let h_iommu_revoke = Obs.Profile.handle "iommu.revoke"
 let bk_riscv = Obs.intern "riscv-pmp"
@@ -221,21 +257,22 @@ let apply_effect_unsafe s = function
        deferred Revocation.apply erases exactly the taint the policy
        promises to clean, so surviving taint = a missing clean-up (see
        Hw.Taint). No TLB surface on RISC-V — PMP checks every access. *)
-    let tt = s.machine.Hw.Machine.taint in
-    let u_pages =
-      Hw.Taint.taint_pages tt r ~prior:domain
-        ~guarded:(Cap.Revocation.zeroes_memory cleanup)
-    in
-    let u_lines =
-      Hw.Taint.taint_lines tt
-        (Hw.Cache.resident_lines_in s.machine.Hw.Machine.cache r)
-        ~prior:domain
-        ~guarded:(Cap.Revocation.flushes_cache cleanup)
-    in
-    if s.journaling then
-      record s (fun () ->
-        Hw.Taint.undo tt u_lines;
-        Hw.Taint.undo tt u_pages);
+    Obs.Profile.span_h ~domain ~backend:bk_riscv h_taint_detach (fun () ->
+        let tt = s.machine.Hw.Machine.taint in
+        let u_pages =
+          Hw.Taint.taint_pages tt r ~prior:domain
+            ~guarded:(Cap.Revocation.zeroes_memory cleanup)
+        in
+        let u_lines =
+          Hw.Taint.taint_lines tt
+            (Hw.Cache.resident_lines_in s.machine.Hw.Machine.cache r)
+            ~prior:domain
+            ~guarded:(Cap.Revocation.flushes_cache cleanup)
+        in
+        if s.journaling then
+          record s (fun () ->
+            Hw.Taint.undo tt u_lines;
+            Hw.Taint.undo tt u_pages));
     journal_layout s domain;
     layout_remove s domain r;
     List.iter
@@ -411,7 +448,7 @@ let create machine ~monitor_range ?(alloc_strategy = Merge_adjacent) () =
       txn_commit = (fun () -> txn_commit s);
       txn_rollback = (fun () -> txn_rollback s) }
   in
-  registry := (backend, s) :: !registry;
+  Tyche.Backend_intf.Registry.add registry backend s;
   backend
 
 let layout_of backend domain = !(layout_ref (state_of backend) domain)

@@ -1,5 +1,64 @@
 type tlb_strategy = Full_shootdown | Asid_flush
 
+(* A domain's memory as disjoint ranges keyed by base, each carrying
+   the union of the permissions of the holdings that cover it — the
+   permission its EPT pages carry. Persistent, so an undo record keeps
+   the old map in O(1); an attach or detach touches only the entries
+   overlapping its range. *)
+module Mem_map = struct
+  module M = Map.Make (Int)
+
+  type t = (int * Hw.Perm.t) M.t (* base -> (limit, perm) *)
+
+  let empty = M.empty
+
+  (* Entries overlapping [lo, hi), in address order. *)
+  let overlapping m ~lo ~hi =
+    let rec from seq acc =
+      match seq () with
+      | Seq.Cons ((b, (l, p)), rest) when b < hi -> from rest ((b, l, p) :: acc)
+      | _ -> List.rev acc
+    in
+    let after = from (M.to_seq_from lo m) [] in
+    match M.find_last_opt (fun b -> b < lo) m with
+    | Some (b, (l, p)) when l > lo -> (b, l, p) :: after
+    | _ -> after
+
+  let put b l p m = if b < l then M.add b (l, p) m else m
+
+  (* Drop [lo, hi) from the overlapping entries, keeping their parts
+     outside it. *)
+  let cut m ~lo ~hi olap =
+    List.fold_left (fun m (b, l, p) -> M.remove b m |> put b lo p |> put hi l p) m olap
+
+  let bounds r = (Hw.Addr.Range.base r, Hw.Addr.Range.limit r)
+
+  let remove r m =
+    let lo, hi = bounds r in
+    cut m ~lo ~hi (overlapping m ~lo ~hi)
+
+  let add r perm m =
+    let lo, hi = bounds r in
+    let olap = overlapping m ~lo ~hi in
+    let rec fill pos olap m =
+      match olap with
+      | [] -> put pos hi perm m
+      | (b, l, p) :: rest ->
+        let b = max b lo and l = min l hi in
+        fill l rest (put pos b perm m |> M.add b (l, Hw.Perm.union p perm))
+    in
+    fill lo olap (cut m ~lo ~hi olap)
+
+  (* The pieces of [r] the map covers, with their permissions. *)
+  let within m r =
+    let lo, hi = bounds r in
+    List.map
+      (fun (b, l, p) -> (Hw.Addr.Range.of_bounds ~lo:(max b lo) ~hi:(min l hi), p))
+      (overlapping m ~lo ~hi)
+
+  let iter f m = M.iter (fun b (l, p) -> f (Hw.Addr.Range.of_bounds ~lo:b ~hi:l) p) m
+end
+
 type state = {
   machine : Hw.Machine.t;
   tlb_strategy : tlb_strategy;
@@ -9,7 +68,7 @@ type state = {
   mutable next_keyid : int;
   epts : (Tyche.Domain.id, Hw.Ept.t) Hashtbl.t;
   eptp_lists : (Tyche.Domain.id, Hw.Ept.Eptp_list.t) Hashtbl.t;
-  domain_mem : (Tyche.Domain.id, (Hw.Addr.Range.t * Hw.Perm.t) list ref) Hashtbl.t;
+  domain_mem : (Tyche.Domain.id, Mem_map.t ref) Hashtbl.t;
   domain_devices : (Tyche.Domain.id, int list ref) Hashtbl.t;
   mutable fast : int;
   mutable trap : int;
@@ -21,16 +80,33 @@ type state = {
   mutable journal : (unit -> unit) list;
   mutable journaling : bool;
   mutable deferred : (unit -> unit) list;
+  (* ASIDs a detach in the open transaction left with stale TLB
+     entries: commit invalidates them once, not once per detach. *)
+  mutable stale_asids : int list;
 }
 
 (* Associates the opaque backend records handed to the monitor with
    their internal state, for test/bench introspection. *)
-let registry : (Tyche.Backend_intf.t * state) list ref = ref []
+let registry : state Tyche.Backend_intf.Registry.t = Tyche.Backend_intf.Registry.create ()
 
 let state_of backend =
-  match List.find_opt (fun (b, _) -> b == backend) !registry with
-  | Some (_, s) -> s
+  match Tyche.Backend_intf.Registry.find registry backend with
+  | Some s -> s
   | None -> invalid_arg "Backend_x86: not a backend created by this module"
+
+let flush_tlb s asids =
+  let m = s.machine in
+  match s.tlb_strategy with
+  | Full_shootdown ->
+    Hw.Tlb.shootdown m.Hw.Machine.tlb ~remote_cores:(Array.length m.Hw.Machine.cores - 1)
+  | Asid_flush -> List.iter (fun asid -> Hw.Tlb.flush_asid m.Hw.Machine.tlb ~asid) asids
+
+(* After a detach from [domain]: inside a transaction, only note the
+   ASID; commit runs one shootdown for the lot. No guest access runs
+   inside a transaction, so the stale entries cannot be used before. *)
+let invalidate_tlb s domain =
+  if not s.journaling then flush_tlb s [ domain ]
+  else if not (List.mem domain s.stale_asids) then s.stale_asids <- domain :: s.stale_asids
 
 (* --- transactions --------------------------------------------------- *)
 
@@ -42,6 +118,7 @@ let txn_begin s =
   if s.journaling then invalid_arg "Backend_x86.txn_begin: transaction already open";
   s.journal <- [];
   s.deferred <- [];
+  s.stale_asids <- [];
   s.journaling <- true;
   let fast = s.fast and trap = s.trap in
   record s (fun () ->
@@ -49,10 +126,12 @@ let txn_begin s =
     s.trap <- trap)
 
 let txn_commit s =
-  let cleanups = List.rev s.deferred in
+  let cleanups = List.rev s.deferred and stale = s.stale_asids in
   s.journaling <- false;
   s.journal <- [];
   s.deferred <- [];
+  s.stale_asids <- [];
+  if stale <> [] then flush_tlb s stale;
   List.iter (fun f -> f ()) cleanups
 
 let txn_rollback s =
@@ -60,6 +139,9 @@ let txn_rollback s =
   s.journaling <- false;
   s.journal <- [];
   s.deferred <- [];
+  (* The undo restores every unmapped entry, so the TLB entries of the
+     recorded ASIDs are valid again: nothing to invalidate. *)
+  s.stale_asids <- [];
   (* Undo closures replay EPT/IOMMU writes; they must not re-trip the
      fault plan that caused the rollback. *)
   Fault.suspend (fun () -> List.iter (fun f -> f ()) undos)
@@ -73,7 +155,7 @@ let mem_of s domain =
   match Hashtbl.find_opt s.domain_mem domain with
   | Some l -> l
   | None ->
-    let l = ref [] in
+    let l = ref Mem_map.empty in
     Hashtbl.add s.domain_mem domain l;
     l
 
@@ -153,6 +235,7 @@ let mktme_on_detach s range =
    hardware write (see {!Obs.Profile.handle}). *)
 let h_ept_map = Obs.Profile.handle "ept.map"
 let h_ept_unmap = Obs.Profile.handle "ept.unmap"
+let h_taint_detach = Obs.Profile.handle "taint.detach"
 let h_iommu_grant = Obs.Profile.handle "iommu.grant"
 let h_iommu_revoke = Obs.Profile.handle "iommu.revoke"
 let bk_x86 = Obs.intern "x86_64-vtx"
@@ -164,8 +247,8 @@ let attach_memory s domain range perm =
   | Some ept ->
     if s.journaling then begin
       (* Eagerly capture each page's prior entry: the hypervisor may map
-         non-identity gpas, so the undo cannot be rebuilt from the mem
-         list. A mid-range injected fault leaves a prefix mapped; the
+         non-identity gpas, so the undo cannot be rebuilt from the memory
+         map. A mid-range injected fault leaves a prefix mapped; the
          undo handles pages we never reached (prior None, still None). *)
       let base = Hw.Addr.Range.base range and limit = Hw.Addr.Range.limit range in
       let rec pages gpa acc =
@@ -181,24 +264,23 @@ let attach_memory s domain range perm =
             | None -> if Hw.Ept.entry_at ept ~gpa <> None then Hw.Ept.unmap_page ept ~gpa)
           prior)
     end;
-    Hw.Ept.map_range ept ~gpa:(Hw.Addr.Range.base range) range perm;
+    (* A page's EPT permission is the union of the domain's holdings
+       covering it: a weaker overlapping grant must not take away
+       access the domain still holds. *)
+    let mem = mem_of s domain in
+    let held = Mem_map.add range perm !mem in
+    List.iter
+      (fun (piece, perm) -> Hw.Ept.map_range ept ~gpa:(Hw.Addr.Range.base piece) piece perm)
+      (Mem_map.within held range);
     mktme_on_attach s domain range;
     journal_mem s domain;
-    let mem = mem_of s domain in
-    mem := (range, perm) :: !mem;
+    mem := held;
     List.iter
       (fun bdf ->
         journal_iommu s bdf;
         Hw.Iommu.grant s.machine.Hw.Machine.iommu ~device:bdf range (dma_perm perm))
       !(devices_of s domain);
     Ok ()
-
-let flush_tlb_after_detach s domain =
-  match s.tlb_strategy with
-  | Full_shootdown ->
-    let remote = Array.length s.machine.Hw.Machine.cores - 1 in
-    Hw.Tlb.shootdown s.machine.Hw.Machine.tlb ~remote_cores:remote
-  | Asid_flush -> Hw.Tlb.flush_asid s.machine.Hw.Machine.tlb ~asid:domain
 
 (* Mark what the victim leaves behind — its pages, its resident cache
    lines, its live translations — with its id before any clean-up runs.
@@ -233,11 +315,12 @@ let taint_detach s domain range cleanup =
       Hw.Taint.undo tt u_pages)
 
 let detach_memory s domain range cleanup =
-  Obs.Profile.span_h ~domain ~backend:bk_x86 h_ept_unmap @@ fun () ->
   match Hashtbl.find_opt s.epts domain with
   | None -> Error (Printf.sprintf "no EPT for domain %d" domain)
   | Some ept ->
-    taint_detach s domain range cleanup;
+    Obs.Profile.span_h ~domain ~backend:bk_x86 h_taint_detach (fun () ->
+        taint_detach s domain range cleanup);
+    Obs.Profile.span_h ~domain ~backend:bk_x86 h_ept_unmap @@ fun () ->
     if s.journaling then begin
       let victims = Hw.Ept.mappings_to ept range in
       record s (fun () ->
@@ -245,7 +328,7 @@ let detach_memory s domain range cleanup =
     end;
     let (_ : int) = Hw.Ept.unmap_hpa_range ept range in
     mktme_on_detach s range;
-    flush_tlb_after_detach s domain;
+    invalidate_tlb s domain;
     List.iter
       (fun bdf ->
         journal_iommu s bdf;
@@ -253,11 +336,7 @@ let detach_memory s domain range cleanup =
       !(devices_of s domain);
     journal_mem s domain;
     let mem = mem_of s domain in
-    mem :=
-      List.concat_map
-        (fun (r, perm) ->
-          List.map (fun piece -> (piece, perm)) (Hw.Addr.Range.subtract r range))
-        !mem;
+    mem := Mem_map.remove range !mem;
     (* Zeroing is destructive: stage it so a later failure in the same
        transaction never needs to un-zero memory. *)
     defer s (fun () ->
@@ -271,8 +350,8 @@ let attach_device s domain bdf =
   let devices = devices_of s domain in
   devices := bdf :: !devices;
   journal_iommu s bdf;
-  List.iter
-    (fun (range, perm) ->
+  Mem_map.iter
+    (fun range perm ->
       Hw.Iommu.grant s.machine.Hw.Machine.iommu ~device:bdf range (dma_perm perm))
     !(mem_of s domain);
   Ok ()
@@ -427,7 +506,8 @@ let create machine ?(tlb_strategy = Full_shootdown) ?mktme () =
       trap = 0;
       journal = [];
       journaling = false;
-      deferred = [] }
+      deferred = [];
+      stale_asids = [] }
   in
   let backend =
     { Tyche.Backend_intf.backend_name = "x86_64-vtx";
@@ -485,7 +565,7 @@ let create machine ?(tlb_strategy = Full_shootdown) ?mktme () =
       txn_commit = (fun () -> txn_commit s);
       txn_rollback = (fun () -> txn_rollback s) }
   in
-  registry := (backend, s) :: !registry;
+  Tyche.Backend_intf.Registry.add registry backend s;
   backend
 
 let ept_of backend domain = Hashtbl.find_opt (state_of backend).epts domain

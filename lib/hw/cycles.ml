@@ -1,9 +1,11 @@
-type counter = { mutable cycles : int }
+type counter = { mutable cycles : int; mutable examined : int }
 
-let create () = { cycles = 0 }
+let create () = { cycles = 0; examined = 0 }
 let read c = c.cycles
 let reset c = c.cycles <- 0
 let charge c n = c.cycles <- c.cycles + n
+let examine c n = c.examined <- c.examined + n
+let examined c = c.examined
 
 module Cost = struct
   let vmcall_roundtrip = 1300

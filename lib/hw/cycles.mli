@@ -20,6 +20,15 @@ val read : counter -> int
 val reset : counter -> unit
 val charge : counter -> int -> unit
 
+val examine : counter -> int -> unit
+(** Count table entries (or index probes) examined by a host-side
+    query: the EPT, cache and TLB range queries report here. Not a
+    cycle cost — the simulator's own work, kept apart so revocation's
+    host cost has a deterministic twin ({!Machine.examined}). Never
+    reset by {!reset}. *)
+
+val examined : counter -> int
+
 (** Calibrated event costs, in cycles. [vmcall_roundtrip] covers VM exit +
     handler entry + VM resume; [vmfunc] is an EPTP switch without a VM
     exit; [sgx_aex] is an asynchronous enclave exit; [ecall_machine_mode]

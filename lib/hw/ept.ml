@@ -2,6 +2,10 @@ type entry = { hpa : Addr.t; perm : Perm.t }
 
 type t = {
   pages : (int, entry) Hashtbl.t; (* key: gpa page index *)
+  (* Reverse index: hpa page index -> the gpa pages mapping it (more
+     than one only when gpas alias). The revocation queries walk the
+     revoked range's pages here instead of folding the whole table. *)
+  by_hpa : int Page_index.t;
   counter : Cycles.counter;
   id : int;
 }
@@ -16,7 +20,7 @@ let next_id = ref 0
 
 let create ~counter =
   incr next_id;
-  { pages = Hashtbl.create 64; counter; id = !next_id }
+  { pages = Hashtbl.create 64; by_hpa = Page_index.create 64; counter; id = !next_id }
 
 let page_index a = a / Addr.page_size
 
@@ -25,7 +29,14 @@ let map_page t ~gpa ~hpa perm =
     invalid_arg "Ept.map_page: unaligned address";
   Fault.hit map_fault;
   Cycles.charge t.counter Cycles.Cost.ept_map_page;
-  Hashtbl.replace t.pages (page_index gpa) { hpa; perm }
+  let g = page_index gpa and h = page_index hpa in
+  (match Hashtbl.find_opt t.pages g with
+  | Some old when old.hpa = hpa -> ()
+  | Some old ->
+    Page_index.remove t.by_hpa ~page:(page_index old.hpa) g;
+    Page_index.add t.by_hpa ~page:h g
+  | None -> Page_index.add t.by_hpa ~page:h g);
+  Hashtbl.replace t.pages g { hpa; perm }
 
 let map_range t ~gpa range perm =
   if not (Addr.Range.is_page_aligned range) || not (Addr.is_page_aligned gpa) then
@@ -34,23 +45,60 @@ let map_range t ~gpa range perm =
     (fun i hpa -> map_page t ~gpa:(gpa + (i * Addr.page_size)) ~hpa perm)
     (Addr.Range.pages range)
 
+let remove t g =
+  match Hashtbl.find_opt t.pages g with
+  | None -> ()
+  | Some { hpa; _ } ->
+    Page_index.remove t.by_hpa ~page:(page_index hpa) g;
+    Hashtbl.remove t.pages g
+
 let unmap_page t ~gpa =
   Fault.hit unmap_fault;
   Cycles.charge t.counter Cycles.Cost.ept_unmap_page;
-  Hashtbl.remove t.pages (page_index gpa)
+  remove t (page_index gpa)
+
+(* Fold [f] over the mappings whose hpa page index lies in [lo, hi]:
+   walk those pages in the reverse index, or fold the table once when
+   the span has more pages than the table has entries — whichever
+   examines fewer entries. *)
+let fold_targeting t ~lo ~hi f acc =
+  let size = Hashtbl.length t.pages in
+  if hi - lo + 1 > size then begin
+    Cycles.examine t.counter size;
+    Hashtbl.fold
+      (fun g e acc ->
+        let h = page_index e.hpa in
+        if h >= lo && h <= hi then f g e acc else acc)
+      t.pages acc
+  end
+  else begin
+    Cycles.examine t.counter (hi - lo + 1);
+    let acc = ref acc in
+    for h = lo to hi do
+      List.iter
+        (fun g ->
+          Cycles.examine t.counter 1;
+          acc := f g (Hashtbl.find t.pages g) !acc)
+        (Page_index.find t.by_hpa ~page:h)
+    done;
+    !acc
+  end
+
+(* Pages whose base lies in the range: the mappings a revocation of
+   the range removes. *)
+let fold_contained t range f acc =
+  fold_targeting t
+    ~lo:(page_index (Addr.Range.base range + Addr.page_size - 1))
+    ~hi:(page_index (Addr.Range.last range))
+    f acc
 
 let unmap_hpa_range t range =
-  let victims =
-    Hashtbl.fold
-      (fun gpa_idx { hpa; _ } acc ->
-        if Addr.Range.contains range hpa then gpa_idx :: acc else acc)
-      t.pages []
-  in
+  let victims = fold_contained t range (fun g _ acc -> g :: acc) [] in
   List.iter
-    (fun gpa_idx ->
+    (fun g ->
       Fault.hit unmap_fault;
       Cycles.charge t.counter Cycles.Cost.ept_unmap_page;
-      Hashtbl.remove t.pages gpa_idx)
+      remove t g)
     victims;
   List.length victims
 
@@ -68,19 +116,15 @@ let entry_at t ~gpa =
   | None -> None
 
 let mappings_to t range =
-  Hashtbl.fold
-    (fun gpa_idx { hpa; perm } acc ->
-      if Addr.Range.contains range hpa then (gpa_idx * Addr.page_size, hpa, perm) :: acc
-      else acc)
-    t.pages []
+  fold_contained t range
+    (fun g { hpa; perm } acc -> (g * Addr.page_size, hpa, perm) :: acc)
+    []
 
 let mapped_pages t = Hashtbl.length t.pages
 
 let hpa_reachable t addr =
-  let page = Addr.align_down addr in
-  Hashtbl.fold
-    (fun _ { hpa; perm } acc -> if hpa = page then Perm.union acc perm else acc)
-    t.pages Perm.none
+  let h = page_index addr in
+  fold_targeting t ~lo:h ~hi:h (fun _ { perm; _ } acc -> Perm.union acc perm) Perm.none
 
 let iter_mappings t f =
   (* Sort so iteration order is deterministic for tests and attestation. *)
@@ -93,14 +137,11 @@ let iter_mappings t f =
     entries
 
 let reaches_hpa_range t range =
-  let hit = ref false in
-  Hashtbl.iter
-    (fun _ { hpa; _ } ->
-      if (not !hit)
-         && Addr.Range.overlaps range (Addr.Range.make ~base:hpa ~len:Addr.page_size)
-      then hit := true)
-    t.pages;
-  !hit
+  fold_targeting t
+    ~lo:(page_index (Addr.Range.base range))
+    ~hi:(page_index (Addr.Range.last range))
+    (fun _ _ _ -> true)
+    false
 
 module Eptp_list = struct
   type ept = t

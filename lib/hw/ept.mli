@@ -26,7 +26,13 @@ val map_range : t -> gpa:Addr.t -> Addr.Range.t -> Perm.t -> unit
 val unmap_page : t -> gpa:Addr.t -> unit
 val unmap_hpa_range : t -> Addr.Range.t -> int
 (** Remove every mapping whose target lies in the host range; returns the
-    number of pages unmapped. Used on revocation. *)
+    number of pages unmapped. Used on revocation.
+
+    This and the other host-range queries ({!mappings_to},
+    {!hpa_reachable}, {!reaches_hpa_range}) walk a hpa-page reverse
+    index over the range's pages, or fold the table once when the range
+    has more pages than the table has entries: they cost
+    min(range pages, mapped pages), reported to {!Cycles.examine}. *)
 
 val translate : t -> gpa:Addr.t -> access:[ `Read | `Write | `Exec ] -> Addr.t
 (** Translate a guest-physical address, checking permissions.
@@ -50,8 +56,7 @@ val hpa_reachable : t -> Addr.t -> Perm.t
 val iter_mappings : t -> (gpa:Addr.t -> hpa:Addr.t -> Perm.t -> unit) -> unit
 
 val reaches_hpa_range : t -> Addr.Range.t -> bool
-(** Whether any mapping targets a page overlapping the host range
-    (single pass over the table, unlike per-page {!hpa_reachable}). *)
+(** Whether any mapping targets a page overlapping the host range. *)
 
 (** VMFUNC EPTP list: a bounded table of EPTs between which a domain may
     switch without a VM exit. *)

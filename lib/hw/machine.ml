@@ -42,3 +42,4 @@ let core t i =
 
 let cycles t = Cycles.read t.counter
 let reset_cycles t = Cycles.reset t.counter
+let examined t = Cycles.examined t.counter

@@ -33,3 +33,9 @@ val core : t -> int -> Cpu.t
 
 val cycles : t -> int
 val reset_cycles : t -> unit
+
+val examined : t -> int
+(** Table entries examined so far by the EPT, cache and TLB range
+    queries ({!Cycles.examine}): the counted-work twin of revocation
+    latency. Deterministic, so gates can bound it where wall-clock
+    rows can only report noise. *)

@@ -99,7 +99,20 @@ let clear_pages t range =
     Hashtbl.remove t.pages page
   done
 
-let clear_line t line = Hashtbl.remove t.lines line
+let clear_lines t ~first ~last =
+  if last - first + 1 > Hashtbl.length t.lines then begin
+    let victims =
+      Hashtbl.fold
+        (fun line _ acc -> if line >= first && line <= last then line :: acc else acc)
+        t.lines []
+    in
+    List.iter (Hashtbl.remove t.lines) victims
+  end
+  else
+    for line = first to last do
+      Hashtbl.remove t.lines line
+    done
+
 let clear_all_lines t = Hashtbl.reset t.lines
 
 let clear_tlb_entry t ~asid ~gpa = Hashtbl.remove t.tlb (asid, Addr.align_down gpa)

@@ -85,7 +85,10 @@ val undo : t -> undo -> unit
 (** {2 Clearing (clean-up primitives)} *)
 
 val clear_pages : t -> Addr.Range.t -> unit
-val clear_line : t -> int -> unit
+val clear_lines : t -> first:int -> last:int -> unit
+(** Clear the taint of cache lines [first..last] (line indexes); costs
+    the smaller of the span and the tainted-line count. *)
+
 val clear_all_lines : t -> unit
 val clear_tlb_entry : t -> asid:int -> gpa:Addr.t -> unit
 val clear_tlb_asid : t -> asid:int -> unit

@@ -20,3 +20,28 @@ type t = {
   txn_commit : unit -> unit;
   txn_rollback : unit -> unit;
 }
+
+module Registry = struct
+  type backend = t
+  type 'a entry = { key : backend Weak.t; data : 'a Weak.t }
+  type 'a t = 'a entry list ref
+
+  let create () = ref []
+
+  let weak v =
+    let w = Weak.create 1 in
+    Weak.set w 0 (Some v);
+    w
+
+  let add reg backend data =
+    let live = List.filter (fun e -> Weak.check e.key 0) !reg in
+    reg := { key = weak backend; data = weak data } :: live
+
+  let find reg backend =
+    List.find_map
+      (fun e ->
+        match Weak.get e.key 0 with
+        | Some b when b == backend -> Weak.get e.data 0
+        | _ -> None)
+      !reg
+end

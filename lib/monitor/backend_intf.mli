@@ -58,3 +58,23 @@ type t = {
       deferred clean-ups; hardware state must equal the state at
       [txn_begin]. Runs with fault injection suspended. *)
 }
+
+(** Introspection side tables: a backend module maps the records it
+    built back to its internal state for test and bench helpers. Both
+    sides are held weakly, so a dropped backend — and the machine its
+    state pins — stays collectable. Sound only when the state is
+    reachable from the backend record (its closures capture it): then
+    the state lives exactly as long as the backend does. *)
+module Registry : sig
+  type backend := t
+  type 'a t
+
+  val create : unit -> 'a t
+
+  val add : 'a t -> backend -> 'a -> unit
+  (** Register a backend; entries whose backend was collected are
+      dropped here, so the table holds only live backends. *)
+
+  val find : 'a t -> backend -> 'a option
+  (** The state registered for this backend (compared by [==]). *)
+end

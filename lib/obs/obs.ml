@@ -326,7 +326,7 @@ module Metrics = struct
         Stdlib.incr b;
         v := !v lsr 1
       done;
-      min !b (n_buckets - 1)
+      Int.min !b (n_buckets - 1)
     end
 
   let bucket_bounds i =
@@ -334,7 +334,9 @@ module Metrics = struct
     else if i >= n_buckets - 1 then (1 lsl (n_buckets - 2), max_int)
     else (1 lsl (i - 1), (1 lsl i) - 1)
 
-  let rec atomic_max a v =
+  (* Int-typed throughout: the polymorphic [max]/[min]/[>] would call
+     the C comparison on every span. *)
+  let rec atomic_max (a : int Atomic.t) v =
     let cur = Atomic.get a in
     if v > cur && not (Atomic.compare_and_set a cur v) then atomic_max a v
 
@@ -342,7 +344,7 @@ module Metrics = struct
      check (the Profile span path): re-testing the flag per sample is
      dead weight there. *)
   let observe_unguarded h v =
-    let v = max 0 v in
+    let v = Int.max 0 v in
     ignore (Atomic.fetch_and_add h.count 1);
     ignore (Atomic.fetch_and_add h.sum v);
     atomic_max h.max_v v;

@@ -250,6 +250,146 @@ let test_riscv_ecall_cost () =
     (cost >= Hw.Cycles.Cost.ecall_machine_mode
      && cost < Hw.Cycles.Cost.ecall_machine_mode + (32 * Hw.Cycles.Cost.pmp_entry_write))
 
+(* A weaker overlapping grant must not take away access the domain
+   still holds: share one page rw, share it again read-only, and the
+   sandbox can still store there — live, and on a monitor recovered
+   from the journal alone. [perm_at] reads the page's hardware
+   permission from the backend. *)
+let overlapping_grants_keep_union ~boot ~perm_at () =
+  let w = boot () in
+  let m = w.monitor in
+  let store = Persist.Store.mem () in
+  Tyche.Monitor.enable_persistence m ~store ();
+  let d =
+    get_ok (Tyche.Monitor.create_domain m ~caller:os ~name:"sandbox" ~kind:Tyche.Domain.Sandbox)
+  in
+  let addr = 0xc00000 in
+  List.iter
+    (fun rights ->
+      ignore
+        (get_ok
+           (Tyche.Monitor.share m ~caller:os ~cap:(os_memory_cap w) ~to_:d ~rights
+              ~cleanup:Cap.Revocation.Keep ~subrange:(range ~base:addr ~len:page) ())))
+    [ Cap.Rights.rw; Cap.Rights.read_only ];
+  ignore
+    (get_ok
+       (Tyche.Monitor.share m ~caller:os ~cap:(os_core_cap w 0) ~to_:d
+          ~rights:Cap.Rights.exclusive_use ~cleanup:Cap.Revocation.Keep ()));
+  get_ok (Tyche.Monitor.set_entry_point m ~caller:os ~domain:d addr);
+  get_ok (Tyche.Monitor.seal m ~caller:os ~domain:d);
+  let stores m =
+    let _ = get_ok (Tyche.Monitor.call m ~core:0 ~target:d) in
+    get_ok ~msg:"store through the rw holding" (Tyche.Monitor.store m ~core:0 addr 7);
+    ignore (get_ok (Tyche.Monitor.ret m ~core:0))
+  in
+  stores m;
+  Alcotest.(check string) "hardware permission is the union" "rw-"
+    (Hw.Perm.to_string (perm_at m d addr));
+  let m2, _ = get_ok_str (recover_like w ~store) in
+  Alcotest.(check string) "recovery rebuilds the same permission" "rw-"
+    (Hw.Perm.to_string (perm_at m2 d addr));
+  stores m2
+
+let x86_perm_at m d addr =
+  match Backend_x86.ept_of (Tyche.Monitor.backend m) d with
+  | Some ept -> Hw.Ept.hpa_reachable ept addr
+  | None -> Hw.Perm.none
+
+let riscv_perm_at m d addr =
+  List.fold_left
+    (fun acc (r, p) -> if Hw.Addr.Range.contains r addr then Hw.Perm.union acc p else acc)
+    Hw.Perm.none
+    (Backend_riscv.layout_of (Tyche.Monitor.backend m) d)
+
+(* Dropping a backend must free it and the machine its state holds:
+   the introspection registries hold both weakly. *)
+let test_dropped_backends_collected () =
+  let n = 50 in
+  let machines = Weak.create (2 * n) in
+  let make i =
+    let arch = if i < n then Hw.Cpu.X86_64 else Hw.Cpu.Riscv64 in
+    let machine = Hw.Machine.create ~arch ~cores:1 ~mem_size:(1024 * 1024) () in
+    Weak.set machines i (Some machine);
+    match arch with
+    | Hw.Cpu.X86_64 ->
+      let b = Backend_x86.create machine () in
+      Alcotest.(check int) "x86 lookup" 0 (Backend_x86.trap_transitions b)
+    | Hw.Cpu.Riscv64 ->
+      let b = Backend_riscv.create machine ~monitor_range:(range ~base:0 ~len:page) () in
+      Alcotest.(check int) "riscv lookup" 0 (Backend_riscv.transitions b)
+  in
+  for i = 0 to (2 * n) - 1 do
+    make i
+  done;
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to (2 * n) - 1 do
+    if Weak.check machines i then incr alive
+  done;
+  Alcotest.(check int) "machines of dropped backends collected" 0 !alive;
+  (* A new backend prunes the dead entries; live ones still resolve. *)
+  let w = boot_x86 () in
+  Alcotest.(check bool) "live backend still resolves" true
+    (Backend_x86.ept_of w.backend os <> None)
+
+(* Counted-work twin of the E18 cascade: the EPT, cache and TLB
+   entries a revoke examines ({!Hw.Machine.examined}), per revoked
+   capability. A relay holds a (fanout + 1)-page share; each page is
+   re-shared to the victims, which run once and load every page they
+   hold, so the cache and TLB carry their lines and translations. All
+   victims sit in one domain, or are spread over seven. *)
+let examined_per_victim ~one_domain fanout =
+  let w = boot_x86 ~cores:2 () in
+  let m = w.monitor in
+  let create name =
+    get_ok (Tyche.Monitor.create_domain m ~caller:os ~name ~kind:Tyche.Domain.Sandbox)
+  in
+  let relay = create "relay" in
+  let victims = Array.init (if one_domain then 1 else 7) (fun i -> create (Printf.sprintf "v%d" i)) in
+  let nv = Array.length victims in
+  let base = 0x400000 in
+  let parent =
+    get_ok
+      (Tyche.Monitor.share m ~caller:os ~cap:(os_memory_cap w) ~to_:relay ~rights:Cap.Rights.rw
+         ~cleanup:Cap.Revocation.Keep ~subrange:(range ~base ~len:((fanout + 1) * page)) ())
+  in
+  for k = 0 to fanout - 1 do
+    ignore
+      (get_ok
+         (Tyche.Monitor.share m ~caller:relay ~cap:parent ~to_:victims.(k mod nv)
+            ~rights:Cap.Rights.read_only ~cleanup:Cap.Revocation.Flush_cache
+            ~subrange:(range ~base:(base + (k * page)) ~len:page) ()))
+  done;
+  Array.iteri
+    (fun i v ->
+      ignore
+        (get_ok
+           (Tyche.Monitor.share m ~caller:os ~cap:(os_core_cap w 1) ~to_:v
+              ~rights:Cap.Rights.exclusive_use ~cleanup:Cap.Revocation.Keep ()));
+      get_ok (Tyche.Monitor.set_entry_point m ~caller:os ~domain:v (base + (i * page)));
+      get_ok (Tyche.Monitor.seal m ~caller:os ~domain:v);
+      let _ = get_ok (Tyche.Monitor.call m ~core:1 ~target:v) in
+      let k = ref i in
+      while !k < fanout do
+        ignore (get_ok (Tyche.Monitor.load m ~core:1 (base + (!k * page))));
+        k := !k + nv
+      done;
+      ignore (get_ok (Tyche.Monitor.ret m ~core:1)))
+    victims;
+  let before = Hw.Machine.examined w.machine in
+  get_ok (Tyche.Monitor.revoke m ~caller:os ~cap:parent);
+  float_of_int (Hw.Machine.examined w.machine - before) /. float_of_int (fanout + 1)
+
+let test_cascade_examined_flat () =
+  List.iter
+    (fun (shape, one_domain) ->
+      let small = examined_per_victim ~one_domain 10
+      and large = examined_per_victim ~one_domain 1000 in
+      if large > 2.0 *. small then
+        Alcotest.failf "%s: %.1f entries examined per victim at fanout 1000 vs %.1f at 10 (> 2x)"
+          shape large small)
+    [ ("one domain", true); ("spread", false) ]
+
 let () =
   Alcotest.run "backends"
     [ ( "x86-vtx",
@@ -258,7 +398,10 @@ let () =
           Alcotest.test_case "eptp registration" `Quick test_x86_eptp_registration;
           Alcotest.test_case "transition cycle costs" `Quick test_x86_transition_cycle_costs;
           Alcotest.test_case "tlb strategy ablation" `Quick test_x86_tlb_strategies;
-          Alcotest.test_case "iommu follows memory" `Quick test_x86_iommu_follows_memory ] );
+          Alcotest.test_case "iommu follows memory" `Quick test_x86_iommu_follows_memory;
+          Alcotest.test_case "overlapping grants keep the union" `Quick
+            (overlapping_grants_keep_union ~boot:(fun () -> boot_x86 ()) ~perm_at:x86_perm_at);
+          Alcotest.test_case "cascade work flat in fanout" `Quick test_cascade_examined_flat ] );
       ( "riscv-pmp",
         [ Alcotest.test_case "entry budget enforced" `Quick test_riscv_entry_budget;
           Alcotest.test_case "merging ablation" `Quick test_riscv_merging_extends_budget;
@@ -266,4 +409,9 @@ let () =
           Alcotest.test_case "transition reprograms PMP" `Quick
             test_riscv_transition_reprograms_pmp;
           Alcotest.test_case "ecall cost" `Quick test_riscv_ecall_cost;
-          Alcotest.test_case "sub-page granularity" `Quick test_riscv_subpage_granularity ] ) ]
+          Alcotest.test_case "sub-page granularity" `Quick test_riscv_subpage_granularity;
+          Alcotest.test_case "overlapping grants keep the union" `Quick
+            (overlapping_grants_keep_union ~boot:(fun () -> boot_riscv ()) ~perm_at:riscv_perm_at) ] );
+      ( "registry",
+        [ Alcotest.test_case "dropped backends are collected" `Quick
+            test_dropped_backends_collected ] ) ]

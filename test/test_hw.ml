@@ -387,6 +387,155 @@ let prop_merge_inverse_of_split =
         | Some m -> Addr.Range.equal m r
         | None -> false))
 
+(* Property: the page indexes behind the EPT, cache and TLB range
+   queries agree with full scans. Random sequences over a small
+   address space (so gpas alias hpas and get remapped) drive all three
+   structures; after each step every indexed query over a random range
+   is compared with a fold-based reference twin below. The twins read
+   only the primary tables ([Ept.iter_mappings], [Tlb.all_entries]) or
+   a shadow of the cache's residency. *)
+
+let space_pages = 16
+
+type hw_op =
+  | Map of int * int * Perm.t (* gpa page, hpa page *)
+  | Unmap of int
+  | Unmap_hpa of Addr.Range.t
+  | Touch of int * Addr.t (* tag, addr *)
+  | Fill of int * int * int (* asid, gpa page, hpa page *)
+  | Flush_range of Addr.Range.t
+  | Flush_asid of int
+  | Flush_all
+
+let pp_hw_op = function
+  | Map (g, h, p) -> Printf.sprintf "map g%d->h%d %s" g h (Perm.to_string p)
+  | Unmap g -> Printf.sprintf "unmap g%d" g
+  | Unmap_hpa r -> Format.asprintf "unmap_hpa %a" Addr.Range.pp r
+  | Touch (tag, a) -> Printf.sprintf "touch %d 0x%x" tag a
+  | Fill (a, g, h) -> Printf.sprintf "fill asid%d g%d->h%d" a g h
+  | Flush_range r -> Format.asprintf "flush_range %a" Addr.Range.pp r
+  | Flush_asid a -> Printf.sprintf "flush_asid %d" a
+  | Flush_all -> "flush_all"
+
+let gen_space_range =
+  QCheck.Gen.(
+    map2
+      (fun base len -> Addr.Range.make ~base ~len)
+      (map (fun b -> b * 512) (0 -- ((space_pages * 8) - 1)))
+      (oneof [ map (fun l -> l * 512) (1 -- 48); return (space_pages * Addr.page_size) ]))
+
+let gen_hw_op =
+  QCheck.Gen.(
+    let page = 0 -- (space_pages - 1) and small = 0 -- 3 in
+    frequency
+      [ (4, map3 (fun g h p -> Map (g, h, p)) page page (oneofl [ Perm.r; Perm.rw; Perm.rx ]));
+        (1, map (fun g -> Unmap g) page);
+        (1, map (fun r -> Unmap_hpa r) gen_space_range);
+        (4, map2 (fun tag a -> Touch (tag, a)) small (0 -- ((space_pages * Addr.page_size) - 1)));
+        (4, map3 (fun a g h -> Fill (a, g, h)) small page page);
+        (1, map (fun r -> Flush_range r) gen_space_range);
+        (1, map (fun a -> Flush_asid a) small);
+        (1, return Flush_all) ])
+
+let ref_mappings_to ept range =
+  let acc = ref [] in
+  Ept.iter_mappings ept (fun ~gpa ~hpa perm ->
+      if Addr.Range.contains range hpa then acc := (gpa, hpa, perm) :: !acc);
+  List.sort compare !acc
+
+let ref_hpa_reachable ept addr =
+  let acc = ref Perm.none in
+  Ept.iter_mappings ept (fun ~gpa:_ ~hpa perm ->
+      if hpa = Addr.align_down addr then acc := Perm.union !acc perm);
+  !acc
+
+let ref_reaches ept range =
+  let hit = ref false in
+  Ept.iter_mappings ept (fun ~gpa:_ ~hpa _ ->
+      if Addr.Range.overlaps range (Addr.Range.make ~base:hpa ~len:Addr.page_size) then
+        hit := true);
+  !hit
+
+let ref_resident_lines_in shadow range =
+  let first = Addr.Range.base range / Cache.line_size
+  and last = Addr.Range.last range / Cache.line_size in
+  Hashtbl.fold (fun l _ acc -> if l >= first && l <= last then l :: acc else acc) shadow []
+  |> List.sort compare
+
+let ref_lines_of_tag shadow tag =
+  Hashtbl.fold (fun l t acc -> if t = tag then l :: acc else acc) shadow [] |> List.sort compare
+
+let ref_entries_into tlb ~asid range =
+  List.filter_map
+    (fun (a, gpa, hpa) ->
+      if a = asid && Addr.Range.overlaps range (Addr.Range.make ~base:hpa ~len:Addr.page_size)
+      then Some (a, gpa)
+      else None)
+    (Tlb.all_entries tlb)
+  |> List.sort compare
+
+let prop_indexes_agree_with_scans =
+  QCheck.Test.make ~name:"ept/cache/tlb: page indexes agree with full scans" ~count:300
+    QCheck.(
+      make
+        ~print:(fun steps ->
+          String.concat "; "
+            (List.map
+               (fun (op, r) -> Format.asprintf "%s ? %a" (pp_hw_op op) Addr.Range.pp r)
+               steps))
+        Gen.(list_size (1 -- 60) (pair gen_hw_op gen_space_range)))
+    (fun steps ->
+      let c = counter () in
+      let ept = Ept.create ~counter:c
+      and cache = Cache.create ~counter:c
+      and tlb = Tlb.create ~counter:c in
+      let shadow = Hashtbl.create 64 in
+      let pg n = n * Addr.page_size in
+      let sorted l = List.sort compare l in
+      List.for_all
+        (fun (op, q) ->
+          let step_ok =
+            match op with
+            | Map (g, h, p) -> Ept.map_page ept ~gpa:(pg g) ~hpa:(pg h) p; true
+            | Unmap g -> Ept.unmap_page ept ~gpa:(pg g); true
+            | Unmap_hpa r ->
+              let expected = List.length (ref_mappings_to ept r) in
+              Ept.unmap_hpa_range ept r = expected && ref_mappings_to ept r = []
+            | Touch (tag, a) ->
+              Cache.touch cache ~tag a;
+              Hashtbl.replace shadow (a / Cache.line_size) tag;
+              true
+            | Fill (a, g, h) -> Tlb.fill tlb ~asid:a ~gpa:(pg g) ~hpa:(pg h); true
+            | Flush_range r ->
+              Cache.flush_range cache r;
+              List.iter (Hashtbl.remove shadow) (ref_resident_lines_in shadow r);
+              true
+            | Flush_asid a -> Tlb.flush_asid tlb ~asid:a; true
+            | Flush_all ->
+              Cache.flush_all cache;
+              Tlb.flush_all tlb;
+              Hashtbl.reset shadow;
+              true
+          in
+          step_ok
+          && sorted (Ept.mappings_to ept q) = ref_mappings_to ept q
+          && Perm.equal (Ept.hpa_reachable ept (Addr.Range.base q))
+               (ref_hpa_reachable ept (Addr.Range.base q))
+          && Ept.reaches_hpa_range ept q = ref_reaches ept q
+          && Cache.resident_lines cache = Hashtbl.length shadow
+          && sorted (Cache.resident_lines_in cache q) = ref_resident_lines_in shadow q
+          && List.for_all
+               (fun tag ->
+                 sorted (Cache.lines_of_tag cache ~tag) = ref_lines_of_tag shadow tag
+                 && sorted (Tlb.entries_into tlb ~asid:tag q) = ref_entries_into tlb ~asid:tag q)
+               [ 0; 1; 2; 3 ]
+          && sorted (Tlb.stale_for_hpa tlb q)
+             = sorted
+                 (List.concat_map
+                    (fun asid -> ref_entries_into tlb ~asid q)
+                    [ 0; 1; 2; 3 ]))
+        steps)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "hw"
@@ -421,7 +570,8 @@ let () =
         [ Alcotest.test_case "tlb" `Quick test_tlb;
           Alcotest.test_case "tlb shootdown cost" `Quick test_tlb_shootdown_cost;
           Alcotest.test_case "cache tags" `Quick test_cache;
-          Alcotest.test_case "cycle accounting" `Quick test_cycles ] );
+          Alcotest.test_case "cycle accounting" `Quick test_cycles;
+          qt prop_indexes_agree_with_scans ] );
       ( "machine",
         [ Alcotest.test_case "interrupt routing" `Quick test_interrupts;
           Alcotest.test_case "assembly" `Quick test_machine;
